@@ -90,7 +90,10 @@ fn server_mine_is_byte_identical_to_one_shot_cli() {
          stats id=S dataset=d\n",
         file.to_str().expect("utf-8 path")
     );
-    let responses = serve_script(&[], &script);
+    // One worker, so `cold` finishes before `warm` starts: with more, `warm`
+    // arrives while `cold` runs and coalesces onto it (answering the
+    // leader's `cached=miss`), which is by design.
+    let responses = serve_script(&["--workers", "1"], &script);
     std::fs::remove_dir_all(&dir).ok();
 
     let (l, _) = response(&responses, "L");
@@ -757,4 +760,80 @@ fn client_dropped_at_write_buffer_cap_never_sees_a_lying_frame() {
     setup.send("shutdown id=bye\n");
     setup.wait(&["bye"]);
     assert!(child.wait().expect("child exits").success());
+}
+
+#[test]
+fn request_log_reports_each_request_with_its_role_and_timings() {
+    // `--log` writes one stderr line per answered work request (control
+    // ops are not logged). Each rider logs its own queue wait and the
+    // execute time of the run it shared, so a coalesced rider's exec_us
+    // equals its leader's.
+    let mut child = graphsig()
+        .args(["serve", "--log", "--workers", "4", "--allow-inject"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn graphsig serve --log");
+    let mine = "mine dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 sleep_ms=2000";
+    let script = format!(
+        "load id=L dataset=d gen=aids count=40 seed=2\n\
+         {mine} id=m1\n\
+         {mine} id=m2\n\
+         freq id=f dataset=d min_support=10 max_edges=3\n\
+         sweep id=s dataset=d supports=20,10 max_edges=3\n\
+         stats id=S dataset=d\n\
+         ping id=p\n"
+    );
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(script.as_bytes())
+        .expect("write request script");
+    let output = child.wait_with_output().expect("child exits");
+    assert!(output.status.success(), "serve must exit 0 on clean EOF");
+    let responses = parse_response_stream(&output.stdout).expect("well-framed response stream");
+    assert_eq!(responses.len(), 7, "one response per request");
+
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let lines: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("[graphsig] op="))
+        .collect();
+    assert_eq!(lines.len(), 6, "one log line per work request:\n{stderr}");
+    let field = |line: &str, key: &str| -> String {
+        line.split_whitespace()
+            .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+            .unwrap_or_else(|| panic!("no {key}= in {line}"))
+            .to_string()
+    };
+    let line = |id: &str| -> &str {
+        let found: Vec<&&str> = lines.iter().filter(|l| field(l, "id") == id).collect();
+        assert_eq!(found.len(), 1, "one log line for {id}:\n{stderr}");
+        found[0]
+    };
+    for (id, role) in [("L", "solo"), ("f", "solo"), ("s", "sweep"), ("S", "solo")] {
+        assert_eq!(field(line(id), "role"), role, "{}", line(id));
+    }
+    let (m1, m2) = (line("m1"), line("m2"));
+    let mut roles = [field(m1, "role"), field(m2, "role")];
+    roles.sort();
+    assert_eq!(
+        roles,
+        ["lead", "rider"],
+        "identical mines coalesce:\n{stderr}"
+    );
+    assert_eq!(
+        field(m1, "exec_us"),
+        field(m2, "exec_us"),
+        "a rider logs its leader's execute time:\n{stderr}"
+    );
+    let exec_us: u64 = field(m1, "exec_us").parse().expect("numeric exec_us");
+    assert!(exec_us >= 2_000_000, "the shared run slept 2 s: {m1}");
+    for l in &lines {
+        field(l, "queue_wait_us")
+            .parse::<u64>()
+            .expect("numeric queue_wait_us");
+    }
 }

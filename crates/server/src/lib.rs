@@ -14,12 +14,16 @@
 //! * [`server`] — the engine: a bounded work queue with `busy`
 //!   load-shedding, per-request [`Budget`](graphsig_core::Budget)s and
 //!   [`CancelToken`](graphsig_core::CancelToken)s under server-enforced
-//!   ceilings, panic isolation per request, single-flight coalescing of
-//!   identical concurrent `mine` runs (see `batch`), sweep segmentation
-//!   for scheduling fairness, a shared
+//!   ceilings, panic isolation per request, and graceful drain on
+//!   shutdown. Its two halves are private modules: `flight`, the one
+//!   scheduling model (every admitted request is a flight of work units
+//!   answered to one or more riders — solo requests, coalesced identical
+//!   `mine`s, and `sweep`s fanned out into low-priority threshold units),
+//!   and `registry`, the resident datasets (a shared
 //!   [`PreparedCache`](graphsig_core::PreparedCache) +
 //!   [`LabelPairIndex`](graphsig_graph::LabelPairIndex) per dataset with
-//!   versioned invalidation on `load`, and graceful drain on shutdown.
+//!   versioned invalidation on `load`, load ordering, and the memory
+//!   admission governor).
 //! * [`transport`] — the event-driven TCP front end: one readiness loop
 //!   (`poll(2)`) multiplexes every connection, so idle connections cost a
 //!   file descriptor and a buffer, not a thread, and slow consumers are
@@ -34,9 +38,10 @@
 //! the memory admission governor, and connection lifecycle deadlines —
 //! the soak CI gates on via `bench_chaos --smoke`.
 
-pub(crate) mod batch;
 pub mod chaos;
+pub(crate) mod flight;
 pub mod protocol;
+pub(crate) mod registry;
 pub mod server;
 pub mod smoke;
 pub mod transport;

@@ -339,6 +339,18 @@ impl Request {
             Request::Auth { .. } => "auth",
         }
     }
+
+    /// The resident dataset the request names, if any.
+    pub(crate) fn dataset(&self) -> Option<&str> {
+        match self {
+            Request::Load(r) => Some(&r.dataset),
+            Request::Mine(r) => Some(&r.dataset),
+            Request::Freq(r) => Some(&r.dataset),
+            Request::Sweep(r) => Some(&r.dataset),
+            Request::Stats { dataset, .. } => dataset.as_deref(),
+            _ => None,
+        }
+    }
 }
 
 /// Parsed `key=value` pairs with take-and-check-leftovers access.

@@ -1,0 +1,445 @@
+//! The dataset registry: every resident dataset version, the order in
+//! which loads of one name commit, and the memory admission governor.
+//!
+//! # Lock discipline
+//!
+//! One mutex guards the name → dataset map and the per-name load counters.
+//! Every method takes it once and never calls back into the registry while
+//! holding it, so no registry call can wait on itself. Inside it only the
+//! datasets' own prepared-cache locks are taken (resident sums, eviction),
+//! and those are leaves. The scheduler takes it, briefly, under its own
+//! lock when it hands out an admission ticket (see [`Registry::ticket`]);
+//! nothing takes the scheduler lock while holding this one.
+//!
+//! # Load ordering
+//!
+//! A request naming dataset X sees every `load` of X admitted before it.
+//! At admission the request takes a *ticket*: the number of loads of X
+//! admitted so far (a load counts itself after taking its ticket). Before
+//! it resolves X it waits until that many loads of X have committed. Loads
+//! of one name therefore commit in admission order, and an append always
+//! extends the version just before it. The wait cannot deadlock: the fresh
+//! lane is FIFO and tickets are taken in queue order, so the load waited
+//! on was dequeued earlier and is already running; [`LoadTurn`] commits it
+//! when dropped, on every ending (ok, error or panic).
+
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+
+use graphsig_core::PreparedCache;
+use graphsig_graph::{GraphDb, LabelPairIndex};
+
+use crate::protocol::{Response, Status};
+
+/// One contiguous ingest segment of a dataset (a store shard, or one
+/// text/generator load batch) with its lazily built slice of the
+/// label-pair index. Slots are `Arc`-shared across `load append=`
+/// versions: appending keeps every already-built segment index and only
+/// the new graphs are ever indexed — per-shard, not wholesale,
+/// invalidation.
+struct IndexSlot {
+    /// Graph index range within the dataset's db.
+    range: Range<usize>,
+    index: OnceLock<Arc<LabelPairIndex>>,
+}
+
+impl IndexSlot {
+    fn new(range: Range<usize>) -> Arc<Self> {
+        Arc::new(IndexSlot {
+            range,
+            index: OnceLock::new(),
+        })
+    }
+
+    fn get(&self, db: &GraphDb) -> Arc<LabelPairIndex> {
+        self.index
+            .get_or_init(|| Arc::new(LabelPairIndex::build_range(db, self.range.clone())))
+            .clone()
+    }
+}
+
+/// Provenance of a dataset loaded from a packed store (`format=packed`).
+/// Appends *merge* rather than replace this (see [`LoadTurn::install`]),
+/// so a degraded store's quarantine disclosure survives later ingests.
+#[derive(Clone)]
+pub(crate) struct StoreInfo {
+    /// Shards listed by the manifest(s) this dataset was assembled from.
+    manifest_shards: usize,
+    /// Shards quarantined by the lenient open (degraded when > 0).
+    quarantined: usize,
+    /// Bytes on disk across manifest and surviving shards.
+    disk_bytes: u64,
+    /// The (latest) store's ingest counter.
+    store_version: u64,
+}
+
+impl StoreInfo {
+    pub(crate) fn of(opened: &graphsig_store::OpenedStore) -> Self {
+        StoreInfo {
+            manifest_shards: opened.manifest.shards.len(),
+            quarantined: opened.report.quarantined.len(),
+            disk_bytes: opened.disk_bytes(),
+            store_version: opened.manifest.store_version,
+        }
+    }
+}
+
+/// One resident dataset version: the graphs plus every cache keyed to
+/// exactly this data. Replaced on `load`; `append=true` carries the old
+/// segment index slots into the new version.
+pub(crate) struct Dataset {
+    pub(crate) name: String,
+    pub(crate) version: u64,
+    pub(crate) db: Arc<GraphDb>,
+    /// `db.approx_resident_bytes()`, computed once at load so admission
+    /// checks never re-walk the graphs.
+    pub(crate) db_bytes: u64,
+    pub(crate) prepared: PreparedCache,
+    /// Merged whole-dataset index, assembled from the slots on first use.
+    index: OnceLock<Arc<LabelPairIndex>>,
+    /// Per-segment lazy indexes, in deterministic segment (gid) order.
+    slots: Vec<Arc<IndexSlot>>,
+    /// Set when the dataset came (in part) from a packed store.
+    store: Option<StoreInfo>,
+}
+
+impl Dataset {
+    /// The shared label-pair index, built on first use by merging the
+    /// per-segment indexes in segment order. Because segment ranges tile
+    /// the db contiguously, the merge is exactly equal to a full build
+    /// (unit-tested in `graphsig_graph::index`). The `OnceLock` is also
+    /// the coalescing point for concurrent `freq`/`sweep` requests: the
+    /// first builder runs alone, everyone else blocks briefly and shares
+    /// the one build.
+    pub(crate) fn index(&self) -> Arc<LabelPairIndex> {
+        self.index
+            .get_or_init(|| match self.slots.as_slice() {
+                [] => Arc::new(LabelPairIndex::build(&self.db)),
+                [only] => only.get(&self.db),
+                slots => {
+                    let parts: Vec<Arc<LabelPairIndex>> =
+                        slots.iter().map(|s| s.get(&self.db)).collect();
+                    let refs: Vec<&LabelPairIndex> = parts.iter().map(Arc::as_ref).collect();
+                    Arc::new(LabelPairIndex::merge(&refs))
+                }
+            })
+            .clone()
+    }
+
+    /// Approximate resident bytes this dataset version pins: the graphs,
+    /// every initialized prepared-window cache entry, each built segment
+    /// index, and the merged index (with its lazily compiled bitset
+    /// database). Estimates, not an allocator audit — the governor's
+    /// admission decisions only need relative magnitudes.
+    fn resident_bytes(&self) -> u64 {
+        let slots: u64 = self
+            .slots
+            .iter()
+            .filter_map(|s| s.index.get())
+            .map(|i| i.approx_resident_bytes())
+            .sum();
+        let merged = self.index.get().map_or(0, |i| i.approx_resident_bytes());
+        self.db_bytes + self.prepared.approx_bytes() + slots + merged
+    }
+
+    /// `quarantined/total` when the backing store lost shards, else None.
+    fn degraded(&self) -> Option<String> {
+        match &self.store {
+            Some(info) if info.quarantined > 0 => {
+                Some(format!("{}/{}", info.quarantined, info.manifest_shards))
+            }
+            _ => None,
+        }
+    }
+
+    /// An ok response naming this dataset version, with the `degraded=K/N`
+    /// flag when its store lost shards — every answer over partial data
+    /// says so explicitly.
+    pub(crate) fn ok_response(&self, id: &str, op: &str) -> Response {
+        let resp = Response::new(id, op, Status::Ok)
+            .with_field("dataset", &self.name)
+            .with_field("version", self.version);
+        match self.degraded() {
+            Some(flag) => resp.with_field("degraded", flag),
+            None => resp,
+        }
+    }
+
+    /// Append the store provenance fields (packed datasets only) and the
+    /// `degraded` flag to a `load` or `stats` response.
+    pub(crate) fn with_store_fields(&self, mut resp: Response) -> Response {
+        if let Some(info) = &self.store {
+            resp = resp
+                .with_field("shards", info.manifest_shards - info.quarantined)
+                .with_field("quarantined", info.quarantined)
+                .with_field("disk_bytes", info.disk_bytes)
+                .with_field("store_version", info.store_version);
+        }
+        match self.degraded() {
+            Some(flag) => resp.with_field("degraded", flag),
+            None => resp,
+        }
+    }
+
+    /// The `stats dataset=` response.
+    pub(crate) fn stats_response(&self, id: &str) -> Response {
+        let s = self.db.stats();
+        let cache = self.prepared.stats();
+        let resp = Response::new(id, "stats", Status::Ok)
+            .with_field("dataset", &self.name)
+            .with_field("version", self.version)
+            .with_field("graphs", s.graph_count)
+            .with_field("nodes", s.total_nodes)
+            .with_field("edges", s.total_edges)
+            .with_field("segments", self.slots.len())
+            .with_field(
+                "segments_indexed",
+                self.slots
+                    .iter()
+                    .filter(|s| s.index.get().is_some())
+                    .count(),
+            )
+            .with_field("prepared_hits", cache.hits)
+            .with_field("prepared_misses", cache.misses)
+            .with_field("prepared_bypasses", cache.bypasses)
+            .with_field("prepared_entries", cache.entries)
+            .with_field("resident_bytes", self.resident_bytes());
+        let resp = self.with_store_fields(resp);
+        // The shared index is only reported once built — its presence is
+        // itself the observability signal that `freq` requests are reusing
+        // one build.
+        match self.index.get() {
+            Some(index) => resp
+                .with_field("index_types", index.len())
+                .with_field("index_occurrences", index.total_occurrences()),
+            None => resp,
+        }
+    }
+}
+
+/// A `load` the governor refused: its graphs do not fit under the
+/// resident ceiling even after evicting every cold prepared-cache entry.
+pub(crate) struct Exhausted {
+    pub(crate) requested: u64,
+    pub(crate) resident: u64,
+    pub(crate) max: u64,
+}
+
+#[derive(Default)]
+struct State {
+    datasets: HashMap<String, Arc<Dataset>>,
+    /// Per name: (loads admitted, loads committed).
+    loads: HashMap<String, (u64, u64)>,
+}
+
+/// The name → dataset map with load ordering and memory admission.
+pub(crate) struct Registry {
+    state: Mutex<State>,
+    /// Signalled whenever a load commits.
+    committed: Condvar,
+    /// Memory admission ceiling (`ServerConfig::max_resident_bytes`).
+    max_resident_bytes: Option<u64>,
+    /// Prepared-cache entries evicted by the memory governor.
+    pub(crate) evictions: AtomicU64,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Every update below is a single insert or increment, so the data is
+    // consistent even if a holder panicked.
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The error every request naming a dataset that is not resident gets.
+pub(crate) fn unknown_dataset(name: &str) -> String {
+    format!("unknown dataset '{name}' (load it first)")
+}
+
+impl Registry {
+    pub(crate) fn new(max_resident_bytes: Option<u64>) -> Self {
+        Registry {
+            state: Mutex::new(State::default()),
+            committed: Condvar::new(),
+            max_resident_bytes,
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// The admission ticket of a request naming `name`: the number of
+    /// loads of `name` admitted before it. A load is counted as admitted
+    /// once its own ticket is taken. The caller must take tickets in queue
+    /// order (see the module docs).
+    pub(crate) fn ticket(&self, name: &str, load: bool) -> u64 {
+        let mut st = lock(&self.state);
+        if !load {
+            return st.loads.get(name).map_or(0, |&(admitted, _)| admitted);
+        }
+        let (admitted, _) = st.loads.entry(name.to_string()).or_default();
+        *admitted += 1;
+        *admitted - 1
+    }
+
+    /// Wait until `ticket` loads of `name` have committed.
+    fn wait_for(&self, name: &str, ticket: u64) -> MutexGuard<'_, State> {
+        let mut st = lock(&self.state);
+        while st.loads.get(name).map_or(0, |&(_, committed)| committed) < ticket {
+            st = self.committed.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        st
+    }
+
+    /// The version of `name` a request holding `ticket` sees: the current
+    /// one, once every load admitted before the request has committed.
+    pub(crate) fn get(&self, name: &str, ticket: u64) -> Result<Arc<Dataset>, String> {
+        self.wait_for(name, ticket)
+            .datasets
+            .get(name)
+            .cloned()
+            .ok_or_else(|| unknown_dataset(name))
+    }
+
+    /// Start the load of `name` holding `ticket`, once every earlier load
+    /// of `name` has committed. The turn commits when it is dropped.
+    pub(crate) fn load_turn(&self, name: &str, ticket: u64) -> LoadTurn<'_> {
+        let current = self.wait_for(name, ticket).datasets.get(name).cloned();
+        LoadTurn {
+            registry: self,
+            name: name.to_string(),
+            current,
+        }
+    }
+
+    /// `(datasets, approximate resident bytes across all of them)`.
+    pub(crate) fn totals(&self) -> (usize, u64) {
+        let st = lock(&self.state);
+        let resident = st.datasets.values().map(|d| d.resident_bytes()).sum();
+        (st.datasets.len(), resident)
+    }
+}
+
+/// A load's exclusive turn on its dataset name (see
+/// [`Registry::load_turn`]). Dropping it commits the load — after
+/// [`LoadTurn::install`], on an error, or while unwinding from a panic —
+/// and wakes the requests waiting for it.
+pub(crate) struct LoadTurn<'a> {
+    registry: &'a Registry,
+    name: String,
+    /// The version this load replaces or appends to.
+    pub(crate) current: Option<Arc<Dataset>>,
+}
+
+impl LoadTurn<'_> {
+    /// Make the next version of this turn's dataset resident. `db` holds
+    /// the graphs of `base` (the current version for an append, `None` for
+    /// a fresh load) followed by the new batch; `shards` gives a packed
+    /// batch's absolute per-shard graph ranges (one index slot each —
+    /// `None` gives the batch one slot) and `store` its provenance.
+    /// Admission is atomic: the ceiling check, the LRU eviction of cold
+    /// prepared-cache entries and the insert happen under one lock, so two
+    /// concurrent loads can never both pass a ceiling only one of them
+    /// fits. The version being replaced does not count against its
+    /// successor. A refused load leaves the current version serving.
+    pub(crate) fn install(
+        &self,
+        base: Option<&Dataset>,
+        db: GraphDb,
+        shards: Option<Vec<Range<usize>>>,
+        store: Option<StoreInfo>,
+    ) -> Result<Arc<Dataset>, Exhausted> {
+        // Store provenance survives appends: a text/generator append onto
+        // a packed dataset keeps the prior quarantine disclosure, and a
+        // packed append merges shard/quarantine counts — `degraded=` never
+        // silently disappears while quarantined data is still being served.
+        let store = match (base.and_then(|d| d.store.as_ref()), store) {
+            (None, current) => current,
+            (Some(prior), None) => Some(prior.clone()),
+            (Some(prior), Some(current)) => Some(StoreInfo {
+                manifest_shards: prior.manifest_shards + current.manifest_shards,
+                quarantined: prior.quarantined + current.quarantined,
+                disk_bytes: prior.disk_bytes + current.disk_bytes,
+                store_version: current.store_version,
+            }),
+        };
+        // Appends keep the base version's slots (their built indexes stay
+        // valid — old graphs and label ids are untouched) and gain one slot
+        // per new shard (packed) or one for the new batch (text/generator),
+        // so invalidation stays shard-grained however the dataset was built.
+        let mut slots = base.map_or_else(Vec::new, |d| d.slots.clone());
+        let (base_len, graphs) = (base.map_or(0, |d| d.db.len()), db.len());
+        match shards {
+            Some(ranges) => slots.extend(ranges.into_iter().map(IndexSlot::new)),
+            None if graphs > base_len || slots.is_empty() => {
+                slots.push(IndexSlot::new(base_len..graphs))
+            }
+            None => {}
+        }
+        let db_bytes = db.approx_resident_bytes();
+        let registry = self.registry;
+        let mut st = lock(&registry.state);
+        if let Some(max) = registry.max_resident_bytes {
+            let mut resident: u64 = st
+                .datasets
+                .values()
+                .filter(|d| d.name != self.name)
+                .map(|d| d.resident_bytes())
+                .sum();
+            while resident + db_bytes > max {
+                match evict_coldest_prepared(&st.datasets, &self.name) {
+                    Some(freed) => {
+                        registry.evictions.fetch_add(1, Ordering::Relaxed);
+                        resident = resident.saturating_sub(freed);
+                    }
+                    None => break,
+                }
+            }
+            if resident + db_bytes > max {
+                return Err(Exhausted {
+                    requested: db_bytes,
+                    resident,
+                    max,
+                });
+            }
+        }
+        // Versioned invalidation: the new Arc replaces the old entry;
+        // requests already holding the old version finish against it, and
+        // its caches are freed with the last reference.
+        let dataset = Arc::new(Dataset {
+            name: self.name.clone(),
+            version: st.datasets.get(&self.name).map_or(1, |d| d.version + 1),
+            db: Arc::new(db),
+            db_bytes,
+            prepared: PreparedCache::new(),
+            index: OnceLock::new(),
+            slots,
+            store,
+        });
+        st.datasets.insert(self.name.clone(), Arc::clone(&dataset));
+        Ok(dataset)
+    }
+}
+
+impl Drop for LoadTurn<'_> {
+    fn drop(&mut self) {
+        if let Some((_, committed)) = lock(&self.registry.state).loads.get_mut(&self.name) {
+            *committed += 1;
+        }
+        self.registry.committed.notify_all();
+    }
+}
+
+/// Evict one cold prepared-cache entry under memory pressure: the
+/// least-recently-used initialized entry of whichever dataset (other than
+/// `except`) caches the most bytes, name as the deterministic tiebreak.
+/// Returns the bytes freed, or `None` when nothing is evictable.
+fn evict_coldest_prepared(datasets: &HashMap<String, Arc<Dataset>>, except: &str) -> Option<u64> {
+    let mut candidates: Vec<&Arc<Dataset>> =
+        datasets.values().filter(|d| d.name != except).collect();
+    candidates.sort_by(|a, b| {
+        b.prepared
+            .approx_bytes()
+            .cmp(&a.prepared.approx_bytes())
+            .then_with(|| a.name.cmp(&b.name))
+    });
+    candidates.into_iter().find_map(|d| d.prepared.evict_lru())
+}

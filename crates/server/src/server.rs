@@ -1,91 +1,67 @@
-//! The resident mining service: bounded queue, worker pool, shared
-//! dataset cache, request coalescing, and graceful degradation.
+//! The resident mining service: bounded admission, a worker pool running
+//! flights, the dataset registry, and graceful degradation.
 //!
 //! # Robustness policy
 //!
 //! * **Backpressure, not unbounded queueing.** Work requests (`load`,
-//!   `mine`, `freq`, `stats`) go through a bounded queue; when it is full
-//!   the request is rejected *immediately* with `status=busy` and the
-//!   current depth, so a client can back off. Control messages (`ping`,
-//!   `cancel`, `shutdown`) never queue — they are handled on the reader
-//!   thread, so a saturated server can still be probed, cancelled into
-//!   headroom, or shut down. A busy-rejected request is never visible to
-//!   `cancel`: its token is registered only after the capacity check
-//!   admits it, so `found=true` always means "the server accepted this id".
-//! * **Per-request governance.** Every queued request carries its own
+//!   `mine`, `freq`, `sweep`, `stats`) go through a bounded queue; when it
+//!   is full the request is rejected *immediately* with `status=busy` and
+//!   the current depth, so a client can back off. Control messages
+//!   (`ping`, `cancel`, `shutdown`, `auth`) never queue — they are handled
+//!   on the reader thread, so a saturated server can still be probed,
+//!   cancelled into headroom, or shut down. A refused request is never
+//!   visible to `cancel`: its id is registered only on admission, so
+//!   `found=true` always means "the server accepted this id".
+//! * **One scheduling model.** Every admitted request becomes a flight
+//!   (see the `flight` module): solo requests, coalesced `mine` runs shared
+//!   by identical concurrent requests, and `sweep`s fanned out into
+//!   low-priority threshold units. One completion path answers every
+//!   admitted request, whichever way its flight ended.
+//! * **Load ordering.** A request naming dataset X sees every `load` of X
+//!   admitted before it, from any connection (see the `registry` module).
+//! * **Per-request governance.** Every flight carries its own
 //!   [`CancelToken`] and a [`Budget`] assembled from the request's
 //!   `timeout_ms`/`max_steps`, clamped by the server's ceilings. Deadlines
 //!   run from *submission*, so time spent queued counts — a request that
 //!   waited out its deadline returns `truncated (deadline exceeded)`
 //!   instead of silently mining stale work.
-//! * **Request coalescing.** Concurrent `mine` requests over the same
-//!   dataset version with the same resolved config share one governed run
-//!   (single-flight, keyed on the [`WindowKey`](graphsig_core::WindowKey)
-//!   the `PreparedCache` memoizes on plus the threshold/backend knobs —
-//!   see [`crate::batch`]). The first request to reach a worker leads;
-//!   later identical requests attach as riders and *do not occupy a
-//!   worker*. Responses are byte-identical to solo runs (the pipeline is
-//!   deterministic for a fixed config; only the per-rider `top=` render
-//!   cap differs). Cancelling a rider detaches it immediately; the run is
-//!   cancelled only when its last rider cancels. Explicitly budgeted
-//!   requests (`timeout_ms`/`max_steps`) never coalesce — a step budget
-//!   is a determinism contract and a deadline anchors to its own
-//!   submission. `freq`/`sweep` requests over one dataset already
-//!   coalesce their index and compiled-database builds structurally: both
-//!   hang off `OnceLock`s in the shared [`Dataset`], so concurrent first
-//!   uses perform exactly one build.
-//! * **Sweep-aware scheduling.** A `sweep` fans out into one queued
-//!   segment per threshold instead of looping inside a single worker.
-//!   Segments run at *lower* priority than whole requests, so a long
-//!   sweep cannot pin the pool: a `mine` submitted mid-sweep runs as soon
-//!   as the current segments finish, not after the whole sweep. The last
-//!   segment to finish assembles the response in threshold order —
-//!   byte-identical to the old inline loop.
-//! * **Panic isolation.** Request handlers and sweep segments run under
+//! * **Panic isolation.** Units run under
 //!   [`try_par_map`](graphsig_core::try_par_map): a poisoned request
 //!   (malformed data tripping a bug, injected faults in tests) produces a
-//!   `status=error` response carrying the panic message; the worker and
-//!   the server keep serving. A panicking coalesced leader fails every
-//!   rider with that error — riders are never left waiting on a run that
-//!   no longer exists.
+//!   `status=error` response carrying the panic message for every rider of
+//!   its flight; the worker and the server keep serving.
 //! * **Graceful shutdown.** `shutdown` stops intake, waits for queued and
-//!   in-flight work under a drain deadline, cancels whatever outlives the
-//!   deadline — individual tokens *and* coalesced group tokens (those
-//!   requests respond `truncated (cancelled)` — still a structured
-//!   response, never a silent drop) — and only then confirms.
+//!   running work under a drain deadline, cancels whatever outlives the
+//!   deadline (those requests respond `truncated (cancelled)` — still a
+//!   structured response, never a silent drop), and only then confirms.
 //! * **Shared state with versioned invalidation.** Each resident dataset
-//!   owns a [`PreparedCache`] (window passes) and a lazily built
-//!   [`LabelPairIndex`] shared by `freq` requests. `load` replaces the
-//!   whole entry under a bumped version: in-flight requests keep mining
-//!   their pinned `Arc` snapshot, new requests see the new version, and
-//!   the old caches die with their last reference.
+//!   owns a [`PreparedCache`](graphsig_core::PreparedCache) (window passes)
+//!   and a lazily built label-pair index shared by `freq`/`sweep`. `load`
+//!   replaces the whole entry under a bumped version: in-flight requests
+//!   keep mining their pinned `Arc` snapshot, new requests see the new
+//!   version, and the old caches die with their last reference.
 //! * **Observability.** `stats` (no dataset) reports per-op acceptance
 //!   counters, cumulative queue-wait and execute times, coalesce
-//!   lead/rider counts, and queued segment depth alongside the original
-//!   counters, so a load test can attribute latency to queueing vs work
-//!   and prove coalescing happened.
+//!   lead/rider counts and queued threshold units; `--log` writes one line
+//!   per answered request with its role, queue wait and execute time.
 
-use std::collections::{HashMap, VecDeque};
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use graphsig_core::{
-    render_subgraphs, Budget, CacheDisposition, CancelToken, FsmBackend, GraphSigConfig,
-    GraphSigResult, Outcome, PreparedCache,
-};
-use graphsig_fsg::{Fsg, FsgConfig};
-use graphsig_graph::{parse_transactions_into, GraphDb, LabelPairIndex, MatcherKind};
-use graphsig_gspan::{GSpan, MinerConfig, Pattern};
+use graphsig_core::{Budget, CancelToken, FsmBackend, GraphSigConfig};
+use graphsig_graph::{parse_transactions_into, GraphDb};
 
-use crate::batch::{
-    cancelled_mine_response, Coalescer, FlightCtx, Joined, MineKey, Rider, SweepFlight,
+use crate::flight::{
+    render_patterns, run_freq, Cancelled, Ending, Flight, FreqParams, MineKey, MineRun, Refusal,
+    Rider, Scheduler, Seat, SweepPlan, Unit, Work,
 };
 use crate::protocol::{
     parse_request, BackendKind, BudgetParams, FreqRequest, LoadFormat, LoadRequest, LoadSource,
     MineRequest, ProtocolError, Request, Response, Status, SweepRequest,
 };
+use crate::registry::{unknown_dataset, Dataset, Exhausted, Registry, StoreInfo};
 
 /// Tunables for one [`Server`].
 #[derive(Debug, Clone)]
@@ -156,146 +132,6 @@ pub fn shared_writer(w: impl Write + Send + 'static) -> SharedWriter {
     Arc::new(Mutex::new(Box::new(w)))
 }
 
-/// One contiguous ingest segment of a dataset (a store shard, or one
-/// text/generator load batch) with its lazily built slice of the
-/// label-pair index. Slots are `Arc`-shared across `load append=`
-/// versions: appending keeps every already-built segment index and only
-/// the new graphs are ever indexed — per-shard, not wholesale,
-/// invalidation.
-struct IndexSlot {
-    /// Graph index range within the dataset's db.
-    range: std::ops::Range<usize>,
-    index: OnceLock<Arc<LabelPairIndex>>,
-}
-
-impl IndexSlot {
-    fn get(&self, db: &GraphDb) -> Arc<LabelPairIndex> {
-        self.index
-            .get_or_init(|| Arc::new(LabelPairIndex::build_range(db, self.range.clone())))
-            .clone()
-    }
-}
-
-/// Provenance of a dataset loaded from a packed store (`format=packed`).
-/// Appends *merge* rather than replace this (see `exec_load`), so a
-/// degraded store's quarantine disclosure survives later ingests.
-#[derive(Clone)]
-struct StoreInfo {
-    /// Shards listed by the manifest(s) this dataset was assembled from.
-    manifest_shards: usize,
-    /// Shards quarantined by the lenient open (degraded when > 0).
-    quarantined: usize,
-    /// Bytes on disk across manifest and surviving shards.
-    disk_bytes: u64,
-    /// The (latest) store's ingest counter.
-    store_version: u64,
-}
-
-/// One resident dataset version: the graphs plus every cache keyed to
-/// exactly this data. Replaced on `load`; `append=true` carries the old
-/// segment index slots into the new version.
-pub(crate) struct Dataset {
-    pub(crate) name: String,
-    pub(crate) version: u64,
-    pub(crate) db: Arc<GraphDb>,
-    /// `db.approx_resident_bytes()`, computed once at load so admission
-    /// checks never re-walk the graphs.
-    db_bytes: u64,
-    prepared: PreparedCache,
-    /// Merged whole-dataset index, assembled from the slots on first use.
-    index: OnceLock<Arc<LabelPairIndex>>,
-    /// Per-segment lazy indexes, in deterministic segment (gid) order.
-    slots: Vec<Arc<IndexSlot>>,
-    /// Set when the dataset came (in part) from a packed store.
-    store: Option<StoreInfo>,
-}
-
-impl Dataset {
-    /// The shared label-pair index, built on first use by merging the
-    /// per-segment indexes in segment order. Because segment ranges tile
-    /// the db contiguously, the merge is exactly equal to a full build
-    /// (unit-tested in `graphsig_graph::index`). The `OnceLock` is also
-    /// the coalescing point for concurrent `freq`/`sweep` requests: the
-    /// first builder runs alone, everyone else blocks briefly and shares
-    /// the one build.
-    fn index(&self) -> Arc<LabelPairIndex> {
-        self.index
-            .get_or_init(|| match self.slots.as_slice() {
-                [] => Arc::new(LabelPairIndex::build(&self.db)),
-                [only] => only.get(&self.db),
-                slots => {
-                    let parts: Vec<Arc<LabelPairIndex>> =
-                        slots.iter().map(|s| s.get(&self.db)).collect();
-                    let refs: Vec<&LabelPairIndex> = parts.iter().map(Arc::as_ref).collect();
-                    Arc::new(LabelPairIndex::merge(&refs))
-                }
-            })
-            .clone()
-    }
-
-    /// Approximate resident bytes this dataset version pins: the graphs,
-    /// every initialized prepared-window cache entry, each built segment
-    /// index, and the merged index (with its lazily compiled bitset
-    /// database). Estimates, not an allocator audit — the governor's
-    /// admission decisions only need relative magnitudes.
-    fn resident_bytes(&self) -> u64 {
-        let slots: u64 = self
-            .slots
-            .iter()
-            .filter_map(|s| s.index.get())
-            .map(|i| i.approx_resident_bytes())
-            .sum();
-        let merged = self.index.get().map_or(0, |i| i.approx_resident_bytes());
-        self.db_bytes + self.prepared.approx_bytes() + slots + merged
-    }
-
-    /// `quarantined/total` when the backing store lost shards, else None.
-    pub(crate) fn degraded(&self) -> Option<String> {
-        match &self.store {
-            Some(info) if info.quarantined > 0 => {
-                Some(format!("{}/{}", info.quarantined, info.manifest_shards))
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A queued unit of work.
-struct Job {
-    request: Request,
-    out: SharedWriter,
-    token: CancelToken,
-    submitted: Instant,
-}
-
-/// One queued sweep threshold: everything needed to run `supports[idx]`
-/// and, if last to finish, assemble the sweep response.
-struct SegmentJob {
-    flight: Arc<SweepFlight>,
-    dataset: Arc<Dataset>,
-    index: Arc<LabelPairIndex>,
-    params: Arc<FreqParams>,
-    budget: Budget,
-    idx: usize,
-}
-
-/// What a worker can pick up. Whole requests outrank sweep segments so a
-/// fanned-out sweep never starves fresh work (scheduling fairness).
-enum Work {
-    Request(Job),
-    Segment(SegmentJob),
-}
-
-#[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
-    /// Sweep segments, drained only when `jobs` is empty. Bounded by the
-    /// threshold counts of accepted sweeps, not by `queue_capacity` — the
-    /// capacity check already admitted the sweep as one request.
-    segments: VecDeque<SegmentJob>,
-    active: usize,
-}
-
 #[derive(Default)]
 struct Counters {
     received: AtomicU64,
@@ -303,9 +139,6 @@ struct Counters {
     busy_rejected: AtomicU64,
     errors: AtomicU64,
     panics: AtomicU64,
-    cancel_requests: AtomicU64,
-    /// Prepared-cache entries evicted by the memory governor.
-    evictions: AtomicU64,
     // Accepted (queued) submissions by op.
     op_load: AtomicU64,
     op_mine: AtomicU64,
@@ -315,7 +148,7 @@ struct Counters {
     /// Total microseconds requests spent queued before a worker picked
     /// them up (latency attribution: waiting vs working).
     queue_wait_us: AtomicU64,
-    /// Total microseconds workers spent executing handlers and segments.
+    /// Total microseconds workers spent executing units.
     exec_us: AtomicU64,
 }
 
@@ -351,21 +184,8 @@ pub struct ServerSnapshot {
 
 struct ServerInner {
     cfg: ServerConfig,
-    datasets: Mutex<HashMap<String, Arc<Dataset>>>,
-    queue: Mutex<QueueState>,
-    /// Wakes workers when work is queued (or termination is flagged).
-    work_cv: Condvar,
-    /// Wakes the drain loop when the queue goes empty-and-idle.
-    idle_cv: Condvar,
-    /// Cancel tokens of every queued or executing request, by id.
-    /// Lock order: `queue` before `inflight` when both are held.
-    inflight: Mutex<HashMap<String, CancelToken>>,
-    /// Single-flight registry for coalesced mine runs.
-    coalescer: Coalescer,
-    /// Intake closed (shutdown requested).
-    shutting_down: AtomicBool,
-    /// Workers may exit once the queue is empty.
-    terminated: AtomicBool,
+    registry: Registry,
+    sched: Scheduler,
     counters: Counters,
 }
 
@@ -390,16 +210,10 @@ impl Server {
     pub fn new(cfg: ServerConfig) -> Self {
         let worker_count = graphsig_core::resolve_threads(cfg.workers);
         let inner = Arc::new(ServerInner {
-            cfg,
-            datasets: Mutex::new(HashMap::new()),
-            queue: Mutex::new(QueueState::default()),
-            work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-            inflight: Mutex::new(HashMap::new()),
-            coalescer: Coalescer::default(),
-            shutting_down: AtomicBool::new(false),
-            terminated: AtomicBool::new(false),
+            registry: Registry::new(cfg.max_resident_bytes),
+            sched: Scheduler::new(cfg.queue_capacity),
             counters: Counters::default(),
+            cfg,
         });
         let workers = (0..worker_count)
             .map(|_| {
@@ -442,10 +256,7 @@ impl Server {
     pub fn serve_connection(&self, reader: impl std::io::BufRead, out: SharedWriter) {
         for line in reader.lines() {
             let Ok(line) = line else { break };
-            if self.inner.dispatch_line(&line, &out) {
-                break;
-            }
-            if self.inner.terminated.load(Ordering::Relaxed) {
+            if self.inner.dispatch_line(&line, &out) || self.is_terminated() {
                 break;
             }
         }
@@ -453,14 +264,13 @@ impl Server {
 
     /// Whether a completed `shutdown` has terminated the worker pool.
     pub fn is_terminated(&self) -> bool {
-        self.inner.terminated.load(Ordering::Relaxed)
+        self.inner.sched.is_terminated()
     }
 
     /// Drain and stop without a client `shutdown` request (EOF on stdio,
     /// Ctrl-C handling, tests). Uses the configured drain deadline.
     pub fn shutdown_now(&self) {
-        let drain = self.inner.cfg.drain_ms;
-        self.inner.shutdown(drain);
+        self.inner.sched.drain(self.inner.cfg.drain_ms);
     }
 
     /// Current counters.
@@ -471,8 +281,12 @@ impl Server {
     /// Wait for all workers to exit. Call after shutdown (a completed
     /// `shutdown` request or [`Server::shutdown_now`]).
     pub fn join(mut self) {
-        // If nobody shut us down, do it now so join cannot hang.
-        if !self.inner.terminated.load(Ordering::Relaxed) {
+        self.stop();
+    }
+
+    /// Shut down if nobody did (so joining cannot hang), then join.
+    fn stop(&mut self) {
+        if !self.is_terminated() {
             self.shutdown_now();
         }
         for h in self.workers.drain(..) {
@@ -483,32 +297,27 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if !self.inner.terminated.load(Ordering::Relaxed) {
-            self.inner.shutdown(self.inner.cfg.drain_ms);
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.stop();
     }
 }
 
 impl ServerInner {
     fn snapshot(&self) -> ServerSnapshot {
-        let q = lock(&self.queue);
-        let (leads, riders) = self.coalescer.counters();
+        let (queued, active, segments) = self.sched.depths();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ServerSnapshot {
-            received: self.counters.received.load(Ordering::Relaxed),
-            served: self.counters.served.load(Ordering::Relaxed),
-            busy_rejected: self.counters.busy_rejected.load(Ordering::Relaxed),
-            errors: self.counters.errors.load(Ordering::Relaxed),
-            panics: self.counters.panics.load(Ordering::Relaxed),
-            queued: q.jobs.len(),
-            active: q.active,
-            segments: q.segments.len(),
-            coalesce_leads: leads,
-            coalesce_riders: riders,
-            queue_wait_us: self.counters.queue_wait_us.load(Ordering::Relaxed),
-            exec_us: self.counters.exec_us.load(Ordering::Relaxed),
+            received: load(&self.counters.received),
+            served: load(&self.counters.served),
+            busy_rejected: load(&self.counters.busy_rejected),
+            errors: load(&self.counters.errors),
+            panics: load(&self.counters.panics),
+            queued,
+            active,
+            segments,
+            coalesce_leads: load(&self.sched.leads),
+            coalesce_riders: load(&self.sched.riders),
+            queue_wait_us: load(&self.counters.queue_wait_us),
+            exec_us: load(&self.counters.exec_us),
         }
     }
 
@@ -521,47 +330,30 @@ impl ServerInner {
         let _ = w.flush();
     }
 
-    /// Complete one accepted request: release its id, count it, respond.
-    /// The single completion path for solo requests, coalesced riders, and
-    /// assembled sweeps. Removing the inflight entry is the claim — if the
-    /// id is already gone (a cancel-detached rider whose leader then
-    /// panicked, say), the exactly-one-response invariant holds by
-    /// no-opping here rather than by every caller reasoning about races.
-    fn finish(&self, id: &str, out: &SharedWriter, resp: &Response) {
-        self.finish_as(id, out, resp, "solo", 0, 0);
-    }
-
-    /// [`ServerInner::finish`] with request-log attribution: how this
-    /// request completed (`solo`, `lead`, `rider`, `sweep`) and its
-    /// queue-wait / execution times where the completion path knows them
-    /// (deferred completions — riders, sweep assembly — report zeros; the
-    /// role field says why).
-    fn finish_as(
-        &self,
-        id: &str,
-        out: &SharedWriter,
-        resp: &Response,
-        role: &str,
-        queue_wait_us: u64,
-        exec_us: u64,
-    ) {
-        if lock(&self.inflight).remove(id).is_none() {
-            return;
+    /// Answer riders of a flight that ended — or one rider detached from a
+    /// running one. The only place an admitted request is answered: for
+    /// each rider it releases the id, counts the request, logs it with its
+    /// own queue wait and the flight's execute time, and writes the
+    /// response.
+    fn complete(&self, riders: Vec<Rider>, ending: &Ending, exec_us: u64) {
+        self.sched.release(&riders);
+        for rider in &riders {
+            let resp = ending.respond(rider);
+            self.counters.served.fetch_add(1, Ordering::Relaxed);
+            self.log_request(&resp, rider, exec_us);
+            self.write_response(&rider.out, &resp);
         }
-        self.counters.served.fetch_add(1, Ordering::Relaxed);
-        self.log_request(resp, role, queue_wait_us, exec_us);
-        self.write_response(out, resp);
     }
 
     /// One structured stderr line per completed request (`--log`).
-    fn log_request(&self, resp: &Response, role: &str, queue_wait_us: u64, exec_us: u64) {
+    fn log_request(&self, resp: &Response, rider: &Rider, exec_us: u64) {
         if !self.cfg.log {
             return;
         }
         let f = |key: &str| resp.field(key).unwrap_or("-").to_string();
         eprintln!(
             "[graphsig] op={} id={} status={} dataset={} version={} degraded={} \
-             completion={} role={role} queue_wait_us={queue_wait_us} exec_us={exec_us}",
+             completion={} role={} queue_wait_us={} exec_us={exec_us}",
             crate::protocol::escape(&resp.op),
             crate::protocol::escape(&resp.id),
             match resp.status {
@@ -573,7 +365,22 @@ impl ServerInner {
             f("version"),
             f("degraded"),
             f("completion"),
+            rider.role,
+            rider.waited_us,
         );
+    }
+
+    /// Answer `auth token=...`; returns whether the token is accepted.
+    /// With no token configured every connection is already trusted.
+    fn auth(&self, id: &str, token: &str, out: &SharedWriter) -> bool {
+        let ok = self.cfg.auth_token.as_deref().is_none_or(|t| t == token);
+        let resp = if ok {
+            Response::new(id, "auth", Status::Ok).with_field("authorized", true)
+        } else {
+            Response::error(id, "auth", "bad token").with_field("code", "unauthorized")
+        };
+        self.write_response(out, &resp);
+        ok
     }
 
     /// Handle one line from a connection that has not authenticated.
@@ -581,51 +388,22 @@ impl ServerInner {
     /// correct `auth` gets `status=error code=unauthorized`; op and id are
     /// echoed where the line parses so the client can correlate.
     fn gate_unauthenticated(&self, line: &str, out: &SharedWriter) -> bool {
-        let parsed = match parse_request(line) {
+        let (id, op) = match parse_request(line) {
             Ok(None) => return false, // blank / comment
-            Ok(Some(req)) => req,
-            Err(ProtocolError { id, .. }) => {
+            Ok(Some(Request::Auth { id, token })) => {
                 self.counters.received.fetch_add(1, Ordering::Relaxed);
-                let id = id.as_deref().unwrap_or("-");
-                self.write_response(
-                    out,
-                    &Response::error(id, "?", "authenticate first (auth token=...)")
-                        .with_field("code", "unauthorized"),
-                );
-                return false;
+                return self.auth(&id, &token, out);
             }
+            Ok(Some(other)) => (other.id().to_string(), other.op()),
+            Err(ProtocolError { id, .. }) => (id.unwrap_or_else(|| "-".into()), "?"),
         };
         self.counters.received.fetch_add(1, Ordering::Relaxed);
-        match &parsed {
-            Request::Auth { id, token } => {
-                let ok = self.cfg.auth_token.as_deref() == Some(token.as_str());
-                if ok {
-                    self.write_response(
-                        out,
-                        &Response::new(id, "auth", Status::Ok).with_field("authorized", true),
-                    );
-                } else {
-                    self.write_response(
-                        out,
-                        &Response::error(id, "auth", "bad token")
-                            .with_field("code", "unauthorized"),
-                    );
-                }
-                ok
-            }
-            other => {
-                self.write_response(
-                    out,
-                    &Response::error(
-                        other.id(),
-                        other.op(),
-                        "authenticate first (auth token=...)",
-                    )
-                    .with_field("code", "unauthorized"),
-                );
-                false
-            }
-        }
+        self.write_response(
+            out,
+            &Response::error(&id, op, "authenticate first (auth token=...)")
+                .with_field("code", "unauthorized"),
+        );
+        false
     }
 
     fn dispatch_line(&self, line: &str, out: &SharedWriter) -> bool {
@@ -643,330 +421,132 @@ impl ServerInner {
         match &request {
             Request::Ping { id } => {
                 self.write_response(out, &Response::new(id, "ping", Status::Ok));
-                false
             }
+            // Reaching here means the connection is already trusted (stdio,
+            // or a TCP connection past its gate). Re-auth is validated
+            // anyway so a client can probe its token.
             Request::Auth { id, token } => {
-                // Reaching here means the connection is already trusted
-                // (stdio, or a TCP connection past its gate). Re-auth is
-                // validated anyway so a client can probe its token.
-                match &self.cfg.auth_token {
-                    Some(expected) if expected != token => self.write_response(
-                        out,
-                        &Response::error(id, "auth", "bad token")
-                            .with_field("code", "unauthorized"),
-                    ),
-                    _ => self.write_response(
-                        out,
-                        &Response::new(id, "auth", Status::Ok).with_field("authorized", true),
-                    ),
-                }
-                false
+                self.auth(id, token, out);
             }
             Request::Cancel { id, target } => {
-                self.counters
-                    .cancel_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                let found = match lock(&self.inflight).get(target) {
-                    Some(token) => {
-                        token.cancel();
+                let found = match self.sched.cancel(target) {
+                    Cancelled::Unknown => false,
+                    Cancelled::Signalled => true,
+                    // A rider of a coalesced run answers right now; the
+                    // shared run keeps going for the remaining riders.
+                    Cancelled::Detached(rider, dataset, exec_us) => {
+                        let ending = Ending::Mine(dataset, MineRun::Cancelled);
+                        self.complete(vec![rider], &ending, exec_us);
                         true
                     }
-                    None => false,
                 };
-                if found {
-                    // If the target rides a coalesced flight, detach it so
-                    // it responds `truncated (cancelled)` right now; the
-                    // shared run keeps going for the remaining riders (and
-                    // is cancelled outright when none remain).
-                    if let Some((rider, ctx)) = self.coalescer.on_cancel(target) {
-                        let resp = cancelled_mine_response(
-                            &rider.id,
-                            &ctx.dataset,
-                            ctx.version,
-                            ctx.degraded.as_deref(),
-                        );
-                        self.finish_as(&rider.id, &rider.out, &resp, "rider", 0, 0);
-                    }
-                }
                 self.write_response(
                     out,
                     &Response::new(id, "cancel", Status::Ok)
                         .with_field("target", target)
                         .with_field("found", found),
                 );
-                false
             }
             Request::Shutdown { id, drain_ms } => {
-                let drain = drain_ms.unwrap_or(self.cfg.drain_ms);
-                let forced = self.shutdown(drain);
+                let forced = self.sched.drain(drain_ms.unwrap_or(self.cfg.drain_ms));
                 self.write_response(
                     out,
                     &Response::new(id, "shutdown", Status::Ok)
                         .with_field("served", self.counters.served.load(Ordering::Relaxed))
                         .with_field("forced", forced),
                 );
-                true
+                return true;
             }
             Request::Load(_)
             | Request::Mine(_)
             | Request::Freq(_)
             | Request::Sweep(_)
-            | Request::Stats { .. } => {
-                self.submit(request, out);
-                false
-            }
+            | Request::Stats { .. } => self.submit(request, out),
         }
+        false
     }
 
-    /// Queue a work request, or reject it (`busy` / shutdown / duplicate).
+    /// Admit a work request, or refuse it (shutdown / `busy` / duplicate).
     fn submit(&self, request: Request, out: &SharedWriter) {
         let (id, op) = (request.id().to_string(), request.op());
-        if self.shutting_down.load(Ordering::Relaxed) {
-            self.write_response(out, &Response::error(&id, op, "server is shutting down"));
-            return;
-        }
-        let mut q = lock(&self.queue);
-        if q.jobs.len() >= self.cfg.queue_capacity {
-            // Rejected before the id is ever registered: a racing `cancel`
-            // for a busy-rejected request always reports found=false.
-            let depth = q.jobs.len();
-            drop(q);
-            self.counters.busy_rejected.fetch_add(1, Ordering::Relaxed);
-            self.write_response(
-                out,
-                &Response::new(&id, op, Status::Busy)
-                    .with_field("queue", depth)
-                    .with_field("capacity", self.cfg.queue_capacity),
-            );
-            return;
-        }
-        let token = CancelToken::new();
-        {
-            // Nested under `queue` (the one place both are held — same
-            // order as `shutdown`) so the admitted id is registered before
-            // any worker could possibly complete it.
-            let mut inflight = lock(&self.inflight);
-            if inflight.contains_key(&id) {
-                drop(inflight);
-                drop(q);
-                self.write_response(
-                    out,
-                    &Response::error(&id, op, format!("request id '{id}' already in flight")),
-                );
+        let refusal = match self.sched.admit(request, out, &self.registry) {
+            Ok(()) => {
+                let counter = match op {
+                    "load" => &self.counters.op_load,
+                    "mine" => &self.counters.op_mine,
+                    "freq" => &self.counters.op_freq,
+                    "sweep" => &self.counters.op_sweep,
+                    _ => &self.counters.op_stats,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-            inflight.insert(id.clone(), token.clone());
-        }
-        self.count_op(op);
-        q.jobs.push_back(Job {
-            request,
-            out: Arc::clone(out),
-            token,
-            submitted: Instant::now(),
-        });
-        drop(q);
-        self.work_cv.notify_one();
-    }
-
-    fn count_op(&self, op: &str) {
-        let counter = match op {
-            "load" => &self.counters.op_load,
-            "mine" => &self.counters.op_mine,
-            "freq" => &self.counters.op_freq,
-            "sweep" => &self.counters.op_sweep,
-            "stats" => &self.counters.op_stats,
-            _ => return,
+            Err(Refusal::Closed) => Response::error(&id, op, "server is shutting down"),
+            Err(Refusal::Busy(depth)) => {
+                self.counters.busy_rejected.fetch_add(1, Ordering::Relaxed);
+                Response::new(&id, op, Status::Busy)
+                    .with_field("queue", depth)
+                    .with_field("capacity", self.cfg.queue_capacity)
+            }
+            Err(Refusal::Duplicate) => {
+                Response::error(&id, op, format!("request id '{id}' already in flight"))
+            }
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.write_response(out, &refusal);
     }
 
     fn worker_loop(&self) {
-        loop {
-            let work = {
-                let mut q = lock(&self.queue);
-                loop {
-                    // Whole requests first: sweep segments are the one kind
-                    // of work that arrives in bulk, so they yield to fresh
-                    // requests (fairness under fan-out).
-                    if let Some(job) = q.jobs.pop_front() {
-                        q.active += 1;
-                        break Work::Request(job);
-                    }
-                    if let Some(seg) = q.segments.pop_front() {
-                        q.active += 1;
-                        break Work::Segment(seg);
-                    }
-                    if self.terminated.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    q = self.work_cv.wait(q).unwrap_or_else(|e| e.into_inner());
-                }
-            };
-            match work {
-                Work::Request(job) => self.process(job),
-                Work::Segment(seg) => self.process_segment(seg),
-            }
-            let mut q = lock(&self.queue);
-            q.active -= 1;
-            if q.active == 0 && q.jobs.is_empty() && q.segments.is_empty() {
-                self.idle_cv.notify_all();
-            }
+        while let Some(unit) = self.sched.next() {
+            self.run_unit(unit);
+            self.sched.unit_done();
         }
     }
 
-    /// Execute one job with panic isolation and always respond — directly,
-    /// or through whichever deferred path (`finish` by a coalescing leader
-    /// or a last sweep segment) the handler armed.
-    fn process(&self, job: Job) {
-        let Job {
-            request,
-            out,
-            token,
-            submitted,
-        } = job;
-        let (id, op) = (request.id().to_string(), request.op());
-        let waited_us = submitted.elapsed().as_micros() as u64;
-        self.counters
-            .queue_wait_us
-            .fetch_add(waited_us, Ordering::Relaxed);
-        let exec_started = Instant::now();
+    /// Run one unit with panic isolation; when it was its flight's last,
+    /// complete the flight.
+    fn run_unit(&self, Unit { flight, work }: Unit) {
+        let started = Instant::now();
+        if let Work::Request(_) = work {
+            let waited_us = started
+                .saturating_duration_since(flight.submitted)
+                .as_micros() as u64;
+            self.counters
+                .queue_wait_us
+                .fetch_add(waited_us, Ordering::Relaxed);
+            flight.picked_up(waited_us);
+        }
         // try_par_map with a single item runs inline under catch_unwind:
-        // a panicking handler yields a structured error, not a dead worker.
-        let result = graphsig_core::try_par_map(1, std::slice::from_ref(&request), |req| {
-            self.execute(req, &token, submitted, &out)
-        });
-        let exec_us = exec_started.elapsed().as_micros() as u64;
+        // a panicking unit yields a structured error, not a dead worker.
+        let result =
+            graphsig_core::try_par_map(1, std::slice::from_ref(&work), |work| match work {
+                Work::Request(request) => self.execute(&flight, request),
+                Work::Threshold(plan, i) => {
+                    flight.record(*i, plan.run(*i));
+                    None
+                }
+            });
+        let exec_us = started.elapsed().as_micros() as u64;
         self.counters.exec_us.fetch_add(exec_us, Ordering::Relaxed);
-        match result {
-            // `None` means deferred: this request attached to a coalesced
-            // run, led one (and already finished every rider), or fanned
-            // out into sweep segments. Someone else owns the response.
-            Ok(mut v) => {
-                if let Some(resp) = v.pop().flatten() {
-                    self.finish_as(&id, &out, &resp, "solo", waited_us, exec_us);
-                }
-            }
+        let ending = match result {
+            Ok(mut endings) => endings.pop().flatten(),
             Err(panicked) => {
                 self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                let msg = format!("request handler panicked: {}", panicked.message);
-                // A panicking leader takes its whole flight down: every
-                // rider gets the error, none is left waiting forever.
-                match self.coalescer.fail_leader(&id) {
-                    Some(riders) => {
-                        for rider in riders {
-                            let resp = Response::error(&rider.id, op, msg.clone());
-                            let role = if rider.id == id { "lead" } else { "rider" };
-                            self.finish_as(&rider.id, &rider.out, &resp, role, 0, 0);
-                        }
-                    }
-                    None => self.finish(&id, &out, &Response::error(&id, op, msg)),
-                }
-            }
-        }
-    }
-
-    /// Run one sweep segment; the last segment to finish assembles and
-    /// writes the sweep response.
-    fn process_segment(&self, seg: SegmentJob) {
-        let exec_started = Instant::now();
-        let result = graphsig_core::try_par_map(1, std::slice::from_ref(&seg), |s| {
-            run_freq(
-                &s.dataset.db,
-                &s.index,
-                s.flight.supports[s.idx],
-                &s.params,
-                s.budget.clone(),
-            )
-        });
-        self.counters
-            .exec_us
-            .fetch_add(exec_started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        let last = match result {
-            Ok(mut v) => {
-                let outcome = v.pop().expect("one segment in, one outcome out");
-                seg.flight.record(seg.idx, outcome)
-            }
-            Err(panicked) => {
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                seg.flight.record_panic(panicked.message)
+                Some(Ending::Panicked {
+                    op: flight.op,
+                    message: panicked.message,
+                })
             }
         };
-        if !last {
-            return;
+        if let Some((riders, ending, exec_us)) = self.sched.settle(&flight, ending, exec_us) {
+            self.complete(riders, &ending, exec_us);
         }
-        let flight = &seg.flight;
-        let resp = match flight.panicked() {
-            Some(msg) => Response::error(
-                &flight.id,
-                "sweep",
-                format!("request handler panicked: {msg}"),
-            ),
-            None => {
-                let (completion, total, payload) =
-                    flight.assemble(|patterns| render_patterns(&seg.dataset.db, patterns));
-                with_degraded(
-                    Response::new(&flight.id, "sweep", Status::Ok)
-                        .with_field("dataset", &seg.dataset.name)
-                        .with_field("version", seg.dataset.version),
-                    &seg.dataset,
-                )
-                .with_field("completion", completion)
-                .with_field("supports", flight.supports.len())
-                .with_field("patterns", total)
-                .with_field("index_types", seg.index.len())
-                .with_payload(payload)
-            }
-        };
-        self.finish_as(&flight.id, &flight.out, &resp, "sweep", 0, 0);
-    }
-
-    /// Stop intake and drain. Returns whether the drain deadline forced
-    /// cancellation of remaining work.
-    fn shutdown(&self, drain_ms: u64) -> bool {
-        self.shutting_down.store(true, Ordering::Relaxed);
-        let deadline = Instant::now() + Duration::from_millis(drain_ms);
-        let mut forced = false;
-        let mut q = lock(&self.queue);
-        while q.active > 0 || !q.jobs.is_empty() || !q.segments.is_empty() {
-            if !forced && Instant::now() >= deadline {
-                // Drain deadline passed: cancel everything still in
-                // flight. Each cancelled request still gets a structured
-                // `truncated (cancelled)` response — then we keep waiting
-                // (cooperative cancellation is fast but not instant).
-                for token in lock(&self.inflight).values() {
-                    token.cancel();
-                }
-                // Coalesced runs listen to their *group* token, which only
-                // falls when every rider cancels through `cancel`; a
-                // forced drain fells them all directly.
-                self.coalescer.cancel_all();
-                forced = true;
-            }
-            let wait = if forced {
-                Duration::from_millis(50)
-            } else {
-                deadline
-                    .saturating_duration_since(Instant::now())
-                    .min(Duration::from_millis(50))
-                    .max(Duration::from_millis(1))
-            };
-            let (guard, _) = self
-                .idle_cv
-                .wait_timeout(q, wait)
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
-        }
-        drop(q);
-        self.terminated.store(true, Ordering::Relaxed);
-        self.work_cv.notify_all();
-        forced
     }
 
     /// Build the effective budget for a request: request limits clamped by
     /// server ceilings, deadline measured from submission, and always the
-    /// given cancel token (a request's own, or a coalesced group's).
-    fn budget_for(&self, params: &BudgetParams, token: &CancelToken, submitted: Instant) -> Budget {
-        let mut budget = Budget::unlimited().with_cancel(token.clone());
+    /// flight's cancel token.
+    fn budget_for(&self, params: &BudgetParams, flight: &Flight) -> Budget {
+        let mut budget = Budget::unlimited().with_cancel(flight.token.clone());
         let timeout_ms = params.timeout_ms.or(self.cfg.default_timeout_ms);
         let timeout_ms = match (timeout_ms, self.cfg.max_timeout_ms) {
             (Some(t), Some(ceiling)) => Some(t.min(ceiling)),
@@ -974,7 +554,7 @@ impl ServerInner {
             (t, None) => t,
         };
         if let Some(ms) = timeout_ms {
-            budget = budget.with_deadline_at(submitted + Duration::from_millis(ms));
+            budget = budget.with_deadline_at(flight.submitted + Duration::from_millis(ms));
         }
         let max_steps = match (params.max_steps, self.cfg.max_steps_ceiling) {
             (Some(s), Some(ceiling)) => Some(s.min(ceiling)),
@@ -986,119 +566,47 @@ impl ServerInner {
         budget
     }
 
-    fn dataset(&self, name: &str) -> Result<Arc<Dataset>, String> {
-        lock(&self.datasets)
-            .get(name)
-            .cloned()
-            .ok_or_else(|| format!("unknown dataset '{name}' (load it first)"))
-    }
-
-    /// Approximate resident bytes across every dataset except `except`
-    /// (the name a `load` is about to replace — its memory is freed by the
-    /// replacement, so it does not count against the new version).
-    fn resident_bytes_excluding(&self, except: &str) -> u64 {
-        lock(&self.datasets)
-            .values()
-            .filter(|d| d.name != except)
-            .map(|d| d.resident_bytes())
-            .sum()
-    }
-
-    /// Total approximate resident bytes (stats reporting).
-    fn resident_bytes_total(&self) -> u64 {
-        lock(&self.datasets)
-            .values()
-            .map(|d| d.resident_bytes())
-            .sum()
-    }
-
-    /// Evict one cold prepared-cache entry under memory pressure: the
-    /// least-recently-used initialized entry of whichever dataset frees
-    /// the most bytes (deterministic name tiebreak). Returns the bytes
-    /// freed, or `None` when no dataset has an evictable entry left.
-    fn evict_coldest_prepared(&self, except: &str) -> Option<u64> {
-        let candidates: Vec<Arc<Dataset>> = {
-            let mut v: Vec<Arc<Dataset>> = lock(&self.datasets)
-                .values()
-                .filter(|d| d.name != except)
-                .cloned()
-                .collect();
-            v.sort_by(|a, b| {
-                b.prepared
-                    .approx_bytes()
-                    .cmp(&a.prepared.approx_bytes())
-                    .then_with(|| a.name.cmp(&b.name))
-            });
-            v
-        };
-        for d in candidates {
-            if let Some(freed) = d.prepared.evict_lru() {
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                return Some(freed);
-            }
-        }
-        None
-    }
-
-    /// Run one request. `Some` is the response for *this* request id;
-    /// `None` means the handler deferred — it attached to a coalesced run,
-    /// led one and already responded to every rider via `finish`, or
-    /// queued sweep segments that will.
-    fn execute(
-        &self,
-        request: &Request,
-        token: &CancelToken,
-        submitted: Instant,
-        out: &SharedWriter,
-    ) -> Option<Response> {
-        match request {
-            Request::Load(r) => Some(self.exec_load(r)),
-            Request::Mine(r) => self.exec_mine(r, token, submitted, out),
-            Request::Freq(r) => Some(self.exec_freq(r, token, submitted)),
-            Request::Sweep(r) => self.exec_sweep(r, token, submitted, out),
-            Request::Stats { id, dataset } => Some(self.exec_stats(id, dataset.as_deref())),
+    /// Run a flight's request. `None` means no ending yet: the request
+    /// joined another flight's run, or fanned out into threshold units.
+    fn execute(&self, flight: &Arc<Flight>, request: &Request) -> Option<Ending> {
+        let resp = match request {
+            Request::Load(r) => self.exec_load(r, flight.ticket),
+            Request::Mine(r) => return self.exec_mine(flight, r),
+            Request::Freq(r) => self.exec_freq(r, flight),
+            Request::Sweep(r) => return self.exec_sweep(flight, r),
+            Request::Stats { id, dataset } => self.exec_stats(id, dataset.as_deref(), flight),
             // Control ops never reach the queue.
-            other => Some(Response::error(
-                other.id(),
-                other.op(),
-                "internal: control op queued",
-            )),
-        }
+            other => Response::error(other.id(), other.op(), "internal: control op queued"),
+        };
+        Some(Ending::Response(resp))
     }
 
-    fn exec_load(&self, r: &LoadRequest) -> Response {
+    fn exec_load(&self, r: &LoadRequest, ticket: u64) -> Response {
+        // Every earlier load of this name commits first; this one commits
+        // when `turn` drops, however the load ends.
+        let turn = self.registry.load_turn(&r.dataset, ticket);
         let started = Instant::now();
-        // Appends extend the prior version's graphs and keep its built
+        let error = |message: String| Response::error(&r.id, "load", message);
+        // Appends extend the current version's graphs and keep its built
         // segment indexes; a plain load starts from nothing.
-        let prior = if r.append {
-            match self.dataset(&r.dataset) {
-                Ok(d) => Some(d),
-                Err(e) => return Response::error(&r.id, "load", format!("append failed: {e}")),
+        let base = match (r.append, &turn.current) {
+            (false, _) => None,
+            (true, Some(d)) => Some(Arc::clone(d)),
+            (true, None) => {
+                return error(format!("append failed: {}", unknown_dataset(&r.dataset)))
             }
-        } else {
-            None
         };
-        let mut db = match &prior {
-            Some(d) => (*d.db).clone(),
-            None => GraphDb::new(),
-        };
+        let mut db = base.as_ref().map_or_else(GraphDb::new, |d| (*d.db).clone());
         let base_len = db.len();
-        let mut store = None;
-        // Transient-fault retries spent on this load's store I/O.
-        let mut retries: Option<u64> = None;
-        // Shard boundaries of this load's packed ingest (absolute gids),
-        // so appended shards get per-shard slots exactly like fresh ones.
-        let mut shard_ranges: Option<Vec<std::ops::Range<usize>>> = None;
+        let (mut shards, mut store, mut retries) = (None, None, None);
         match (&r.source, r.format) {
             (LoadSource::Path(path), LoadFormat::Text) => {
                 let text = match std::fs::read_to_string(path) {
                     Ok(t) => t,
-                    Err(e) => {
-                        return Response::error(&r.id, "load", format!("cannot read {path}: {e}"))
-                    }
+                    Err(e) => return error(format!("cannot read {path}: {e}")),
                 };
                 if let Err(e) = parse_transactions_into(&mut db, &text) {
-                    return Response::error(&r.id, "load", format!("{path}: {e}"));
+                    return error(format!("{path}: {e}"));
                 }
             }
             (LoadSource::Path(path), LoadFormat::Packed) => {
@@ -1113,179 +621,66 @@ impl ServerInner {
                     &self.cfg.io,
                 ) {
                     Ok(o) => o,
-                    Err(e) => return Response::error(&r.id, "load", e.to_string()),
+                    Err(e) => return error(e.to_string()),
                 };
                 retries = Some(self.cfg.io.retries() - retries_before);
-                store = Some(StoreInfo {
-                    manifest_shards: opened.manifest.shards.len(),
-                    quarantined: opened.report.quarantined.len(),
-                    disk_bytes: opened.disk_bytes(),
-                    store_version: opened.manifest.store_version,
-                });
+                store = Some(StoreInfo::of(&opened));
                 // Surviving shards tile the opened db contiguously; offset
                 // by base_len they tile the tail of the combined db.
-                shard_ranges = Some(
+                shards = Some(
                     opened
                         .shards
                         .iter()
                         .map(|s| base_len + s.db_start..base_len + s.db_start + s.graph_count)
                         .collect(),
                 );
-                if prior.is_some() {
-                    db.absorb(&opened.db);
-                } else {
-                    db = opened.db;
-                }
+                absorb(&mut db, opened.db, base.is_none());
             }
             (LoadSource::AidsLike { count, seed }, _) => {
-                let gen = graphsig_datagen::aids_like(*count, *seed).db;
-                if prior.is_some() {
-                    db.absorb(&gen);
-                } else {
-                    db = gen;
+                let batch = graphsig_datagen::aids_like(*count, *seed).db;
+                absorb(&mut db, batch, base.is_none());
+            }
+        }
+        let loaded = db.len() - base_len;
+        match turn.install(base.as_deref(), db, shards, store) {
+            Err(Exhausted {
+                requested,
+                resident,
+                max,
+            }) => error(format!(
+                "resident ceiling exceeded: loading {requested} bytes over \
+                 {resident} resident would pass max_resident_bytes={max}"
+            ))
+            .with_field("code", "resource_exhausted")
+            .with_field("requested_bytes", requested)
+            .with_field("resident_bytes", resident)
+            .with_field("max_resident_bytes", max),
+            Ok(d) => {
+                let mut resp = Response::new(&r.id, "load", Status::Ok)
+                    .with_field("dataset", &d.name)
+                    .with_field("version", d.version)
+                    .with_field("graphs", d.db.len())
+                    .with_field("loaded", loaded)
+                    .with_field("resident_bytes", d.db_bytes)
+                    .with_field("parse_ms", started.elapsed().as_millis());
+                if let Some(n) = retries {
+                    resp = resp.with_field("retries", n);
                 }
+                d.with_store_fields(resp)
             }
         }
-        let graphs = db.len();
-        let loaded = graphs - base_len;
-        // Store provenance survives appends: a text/generator append onto
-        // a packed dataset keeps the prior quarantine disclosure, and a
-        // packed append merges shard/quarantine counts — `degraded=` never
-        // silently disappears while quarantined data is still being served.
-        let store = match (prior.as_ref().and_then(|d| d.store.as_ref()), store) {
-            (None, current) => current,
-            (Some(prior_info), None) => Some(prior_info.clone()),
-            (Some(prior_info), Some(current)) => Some(StoreInfo {
-                manifest_shards: prior_info.manifest_shards + current.manifest_shards,
-                quarantined: prior_info.quarantined + current.quarantined,
-                disk_bytes: prior_info.disk_bytes + current.disk_bytes,
-                store_version: current.store_version,
-            }),
-        };
-        // Segment slots: appended datasets keep the prior version's slots
-        // (their built indexes stay valid — old graphs and label ids are
-        // untouched) and gain one slot per new shard (packed) or one slot
-        // for the new batch (text/generator), so later invalidation stays
-        // shard-grained no matter how the dataset was assembled.
-        let mut slots: Vec<Arc<IndexSlot>> =
-            prior.as_ref().map_or_else(Vec::new, |d| d.slots.clone());
-        if let Some(ranges) = shard_ranges {
-            slots.extend(ranges.into_iter().map(|range| {
-                Arc::new(IndexSlot {
-                    range,
-                    index: OnceLock::new(),
-                })
-            }));
-        } else if loaded > 0 || slots.is_empty() {
-            slots.push(Arc::new(IndexSlot {
-                range: base_len..graphs,
-                index: OnceLock::new(),
-            }));
-        }
-        let store_fields = store.as_ref().map(|s| {
-            (
-                s.manifest_shards - s.quarantined,
-                s.quarantined,
-                s.disk_bytes,
-                s.store_version,
-            )
-        });
-        let degraded = store
-            .as_ref()
-            .filter(|s| s.quarantined > 0)
-            .map(|s| format!("{}/{}", s.quarantined, s.manifest_shards));
-        let db_bytes = db.approx_resident_bytes();
-        // Memory admission: would making this version resident push the
-        // server past its ceiling? Cold prepared-cache entries are LRU
-        // evicted first; if the graphs alone still do not fit, the load is
-        // rejected with a structured error — the server never OOM-aborts
-        // and the previous dataset version (if any) keeps serving.
-        if let Some(max) = self.cfg.max_resident_bytes {
-            let mut resident = self.resident_bytes_excluding(&r.dataset);
-            while resident + db_bytes > max {
-                match self.evict_coldest_prepared(&r.dataset) {
-                    Some(freed) => resident = resident.saturating_sub(freed),
-                    None => break,
-                }
-            }
-            if resident + db_bytes > max {
-                return Response::error(
-                    &r.id,
-                    "load",
-                    format!(
-                        "resident ceiling exceeded: loading {db_bytes} bytes over \
-                         {resident} resident would pass max_resident_bytes={max}"
-                    ),
-                )
-                .with_field("code", "resource_exhausted")
-                .with_field("requested_bytes", db_bytes)
-                .with_field("resident_bytes", resident)
-                .with_field("max_resident_bytes", max);
-            }
-        }
-        let version = {
-            let mut datasets = lock(&self.datasets);
-            let version = datasets.get(&r.dataset).map_or(1, |d| d.version + 1);
-            // Versioned invalidation: the new Arc replaces the old entry;
-            // requests already holding the old version finish against it,
-            // and its caches are freed with the last reference.
-            datasets.insert(
-                r.dataset.clone(),
-                Arc::new(Dataset {
-                    name: r.dataset.clone(),
-                    version,
-                    db: Arc::new(db),
-                    db_bytes,
-                    prepared: PreparedCache::new(),
-                    index: OnceLock::new(),
-                    slots,
-                    store,
-                }),
-            );
-            version
-        };
-        let mut resp = Response::new(&r.id, "load", Status::Ok)
-            .with_field("dataset", &r.dataset)
-            .with_field("version", version)
-            .with_field("graphs", graphs)
-            .with_field("loaded", loaded)
-            .with_field("resident_bytes", db_bytes)
-            .with_field("parse_ms", started.elapsed().as_millis());
-        if let Some(n) = retries {
-            resp = resp.with_field("retries", n);
-        }
-        if let Some((shards, quarantined, disk_bytes, store_version)) = store_fields {
-            resp = resp
-                .with_field("shards", shards)
-                .with_field("quarantined", quarantined)
-                .with_field("disk_bytes", disk_bytes)
-                .with_field("store_version", store_version);
-        }
-        if let Some(d) = degraded {
-            resp = resp.with_field("degraded", d);
-        }
-        resp
     }
 
-    /// `mine`: coalescing entry point. Unbudgeted requests single-flight
-    /// on [`MineKey`]; the leader runs once and responds to every rider.
-    fn exec_mine(
-        &self,
-        r: &MineRequest,
-        token: &CancelToken,
-        submitted: Instant,
-        out: &SharedWriter,
-    ) -> Option<Response> {
+    /// `mine`: unbudgeted requests coalesce on [`MineKey`]; the flight that
+    /// runs answers every rider.
+    fn exec_mine(&self, flight: &Arc<Flight>, r: &MineRequest) -> Option<Ending> {
+        let error = |message: &str| Some(Ending::Response(Response::error(&r.id, "mine", message)));
         if (r.inject_panic || r.sleep_ms.is_some()) && !self.cfg.allow_inject {
-            return Some(Response::error(
-                &r.id,
-                "mine",
-                "fault-injection keys are disabled",
-            ));
+            return error("fault-injection keys are disabled");
         }
-        let dataset = match self.dataset(&r.dataset) {
+        let dataset = match self.registry.get(&r.dataset, flight.ticket) {
             Ok(d) => d,
-            Err(e) => return Some(Response::error(&r.id, "mine", e)),
+            Err(e) => return error(&e),
         };
         let defaults = GraphSigConfig::default();
         let cfg = GraphSigConfig {
@@ -1308,124 +703,44 @@ impl ServerInner {
             && cfg.fsm_freq <= 1.0;
         if !in_range {
             // GraphSig::new asserts on these; reject structured instead.
-            return Some(Response::error(
-                &r.id,
-                "mine",
+            return error(
                 "thresholds out of range: need max_pvalue in [0,1], min_freq and fsm_freq in (0,1]",
-            ));
+            );
         }
-        let top = r.top.unwrap_or(usize::MAX);
-        let degraded = dataset.degraded();
-        // Cancelled while queued: respond now. Without this, a cancelled
-        // request could still lead a flight under a fresh group token and
-        // mine to completion as if the cancel never happened.
-        if token.is_cancelled() {
-            return Some(cancelled_mine_response(
-                &r.id,
-                &dataset.name,
-                dataset.version,
-                degraded.as_deref(),
-            ));
-        }
-        if r.budget.timeout_ms.is_some() || r.budget.max_steps.is_some() {
-            // Explicit budgets run solo: a step budget is a determinism
-            // contract with this request, and a deadline anchors to this
-            // request's own submission instant.
-            let budget = self.budget_for(&r.budget, token, submitted);
-            return Some(match self.run_mine(r, &cfg, budget, token, &dataset) {
-                MineRun::Cancelled => cancelled_mine_response(
-                    &r.id,
-                    &dataset.name,
-                    dataset.version,
-                    degraded.as_deref(),
-                ),
-                MineRun::Done(outcome, disposition) => {
-                    mine_response(&r.id, &dataset, &outcome, disposition, top)
-                }
-            });
-        }
-        let key = MineKey::of(&dataset.name, dataset.version, &cfg, r);
-        let rider = Rider {
-            id: r.id.clone(),
-            out: Arc::clone(out),
-            top,
-        };
-        let ctx = FlightCtx {
-            dataset: dataset.name.clone(),
-            version: dataset.version,
-            degraded: degraded.clone(),
-        };
-        match self.coalescer.join(&key, rider, ctx) {
-            // An identical run is in flight; its leader answers for us.
-            // This worker is free immediately — riders cost no execution.
-            Joined::Attached => None,
-            Joined::Lead { group } => {
-                // Run under the *group* token (falls only when every rider
-                // cancels, or on forced drain). Server default ceilings
-                // still apply, anchored to the leader's submission.
-                let budget = self.budget_for(&r.budget, &group, submitted);
-                let waited_us = submitted.elapsed().as_micros() as u64;
-                let run_started = Instant::now();
-                let run = self.run_mine(r, &cfg, budget, &group, &dataset);
-                let exec_us = run_started.elapsed().as_micros() as u64;
-                // Closing the flight is the linearization point: riders
-                // collected here get their response below; a cancel racing
-                // past it finds no flight and the rider responds normally.
-                let riders = self.coalescer.finish(&key);
-                let role_of = |rider: &Rider| if rider.id == r.id { "lead" } else { "rider" };
-                let times_of = |rider: &Rider| {
-                    if rider.id == r.id {
-                        (waited_us, exec_us)
-                    } else {
-                        (0, 0)
-                    }
-                };
-                match run {
-                    MineRun::Cancelled => {
-                        for rider in riders {
-                            let resp = cancelled_mine_response(
-                                &rider.id,
-                                &dataset.name,
-                                dataset.version,
-                                degraded.as_deref(),
-                            );
-                            let (w, e) = times_of(&rider);
-                            self.finish_as(&rider.id, &rider.out, &resp, role_of(&rider), w, e);
-                        }
-                    }
-                    MineRun::Done(outcome, disposition) => {
-                        for rider in riders {
-                            let resp = mine_response(
-                                &rider.id,
-                                &dataset,
-                                &outcome,
-                                disposition,
-                                rider.top,
-                            );
-                            let (w, e) = times_of(&rider);
-                            self.finish_as(&rider.id, &rider.out, &resp, role_of(&rider), w, e);
-                        }
-                    }
-                }
-                None
+        // Explicit budgets run solo: a step budget is a determinism
+        // contract with this request, and a deadline anchors to this
+        // request's own submission instant. A request cancelled while
+        // queued answers without running.
+        let seat = if r.budget.timeout_ms.is_some() || r.budget.max_steps.is_some() {
+            if flight.token.is_cancelled() {
+                Seat::Cancelled
+            } else {
+                Seat::Run
             }
-        }
+        } else {
+            self.sched
+                .coalesce(flight, MineKey::of(&dataset, &cfg, r), &dataset)
+        };
+        let run = match seat {
+            Seat::Ride => return None,
+            Seat::Cancelled => MineRun::Cancelled,
+            Seat::Run => self.run_mine(r, &cfg, flight, &dataset),
+        };
+        Some(Ending::Mine(dataset, run))
     }
 
-    /// The governed pipeline run shared by solo and coalesced mines.
-    /// Fault injection happens here, under the run's own token, so an
-    /// injected sleep is cancellable exactly like real work — and its
-    /// cancelled response carries the same dataset fields as any other.
+    /// The governed pipeline run behind solo and coalesced mines. Fault
+    /// injection happens here, under the flight's token, so an injected
+    /// sleep is cancellable exactly like real work.
     fn run_mine(
         &self,
         r: &MineRequest,
         cfg: &GraphSigConfig,
-        budget: Budget,
-        token: &CancelToken,
+        flight: &Flight,
         dataset: &Dataset,
     ) -> MineRun {
         if let Some(ms) = r.sleep_ms {
-            if !sleep_cancellable(ms, token) {
+            if !sleep_cancellable(ms, &flight.token) {
                 return MineRun::Cancelled;
             }
         }
@@ -1433,22 +748,22 @@ impl ServerInner {
             panic!("injected fault (inject=panic)");
         }
         let cfg = GraphSigConfig {
-            budget: Some(budget),
+            budget: Some(self.budget_for(&r.budget, flight)),
             ..cfg.clone()
         };
         let (outcome, disposition) = dataset.prepared.mine_outcome(&cfg, &dataset.db);
         MineRun::Done(outcome, disposition)
     }
 
-    fn exec_freq(&self, r: &FreqRequest, token: &CancelToken, submitted: Instant) -> Response {
-        let dataset = match self.dataset(&r.dataset) {
+    fn exec_freq(&self, r: &FreqRequest, flight: &Flight) -> Response {
+        let dataset = match self.registry.get(&r.dataset, flight.ticket) {
             Ok(d) => d,
             Err(e) => return Response::error(&r.id, "freq", e),
         };
         if r.min_support == 0 {
             return Response::error(&r.id, "freq", "min_support must be >= 1");
         }
-        let budget = self.budget_for(&r.budget, token, submitted);
+        let budget = self.budget_for(&r.budget, flight);
         let index = dataset.index();
         let params = FreqParams {
             backend: r.backend,
@@ -1458,265 +773,96 @@ impl ServerInner {
             threads: r.threads.unwrap_or(0),
         };
         let outcome = run_freq(&dataset.db, &index, r.min_support, &params, budget);
-        let payload = render_patterns(&dataset.db, &outcome.result);
-        with_degraded(
-            Response::new(&r.id, "freq", Status::Ok)
-                .with_field("dataset", &dataset.name)
-                .with_field("version", dataset.version),
-            &dataset,
-        )
-        .with_field("completion", outcome.completion)
-        .with_field("patterns", outcome.result.len())
-        .with_field("index_types", index.len())
-        .with_payload(payload)
+        dataset
+            .ok_response(&r.id, "freq")
+            .with_field("completion", outcome.completion)
+            .with_field("patterns", outcome.result.len())
+            .with_field("index_types", index.len())
+            .with_payload(render_patterns(&dataset.db, &outcome.result))
     }
 
-    /// `sweep`: validate, then fan the thresholds out as individually
-    /// queued segments (lower priority than whole requests) and return.
-    /// The last segment to finish assembles and writes the response.
-    fn exec_sweep(
-        &self,
-        r: &SweepRequest,
-        token: &CancelToken,
-        submitted: Instant,
-        out: &SharedWriter,
-    ) -> Option<Response> {
-        let dataset = match self.dataset(&r.dataset) {
+    /// `sweep`: validate, then fan the thresholds out as low-priority
+    /// units; the flight answers once the last one finishes.
+    fn exec_sweep(&self, flight: &Arc<Flight>, r: &SweepRequest) -> Option<Ending> {
+        let error =
+            |message: String| Some(Ending::Response(Response::error(&r.id, "sweep", message)));
+        let dataset = match self.registry.get(&r.dataset, flight.ticket) {
             Ok(d) => d,
-            Err(e) => return Some(Response::error(&r.id, "sweep", e)),
+            Err(e) => return error(e),
         };
         if r.supports.is_empty() {
-            return Some(Response::error(
-                &r.id,
-                "sweep",
-                "supports must name at least one threshold",
-            ));
+            return error("supports must name at least one threshold".into());
         }
         if r.supports.contains(&0) {
-            return Some(Response::error(
-                &r.id,
-                "sweep",
-                "every support must be >= 1",
-            ));
+            return error("every support must be >= 1".into());
         }
-        // One budget governs the whole sweep: the deadline spans every
-        // threshold, cancelling the sweep's token stops every segment, and
-        // step allowances stay per-work-unit (each segment clones the
-        // budget, so unbudgeted sweeps match individual calls).
-        let budget = self.budget_for(&r.budget, token, submitted);
-        // One index build (and one lazily compiled bitset database hanging
-        // off it) shared by every threshold — the whole point of the op.
-        let index = dataset.index();
-        let params = Arc::new(FreqParams {
-            backend: r.backend,
-            matcher: r.matcher.unwrap_or_default(),
-            max_edges: r.max_edges.unwrap_or(8),
-            max_patterns: r.max_patterns.unwrap_or(10_000),
-            threads: r.threads.unwrap_or(0),
-        });
-        let flight = Arc::new(SweepFlight::new(
-            r.id.clone(),
-            Arc::clone(out),
-            r.supports.clone(),
-        ));
-        {
-            let mut q = lock(&self.queue);
-            for idx in 0..flight.supports.len() {
-                q.segments.push_back(SegmentJob {
-                    flight: Arc::clone(&flight),
-                    dataset: Arc::clone(&dataset),
-                    index: Arc::clone(&index),
-                    params: Arc::clone(&params),
-                    budget: budget.clone(),
-                    idx,
-                });
-            }
-        }
-        self.work_cv.notify_all();
+        let plan = SweepPlan {
+            budget: self.budget_for(&r.budget, flight),
+            index: dataset.index(),
+            dataset,
+            params: FreqParams {
+                backend: r.backend,
+                matcher: r.matcher.unwrap_or_default(),
+                max_edges: r.max_edges.unwrap_or(8),
+                max_patterns: r.max_patterns.unwrap_or(10_000),
+                threads: r.threads.unwrap_or(0),
+            },
+            supports: r.supports.clone(),
+        };
+        self.sched.fan_out(flight, plan);
         None
     }
 
-    fn exec_stats(&self, id: &str, dataset: Option<&str>) -> Response {
-        match dataset {
-            None => {
-                let snap = self.snapshot();
-                // Taken before the response chain: a `lock(..)` temporary
-                // inside the chain would live to the end of the whole
-                // expression and deadlock `resident_bytes_total` below.
-                let dataset_count = lock(&self.datasets).len();
-                let resident = self.resident_bytes_total();
-                let mut resp = Response::new(id, "stats", Status::Ok)
-                    .with_field("datasets", dataset_count)
-                    .with_field("received", snap.received)
-                    .with_field("served", snap.served)
-                    .with_field("busy_rejected", snap.busy_rejected)
-                    .with_field("errors", snap.errors)
-                    .with_field("panics", snap.panics)
-                    .with_field("queued", snap.queued)
-                    .with_field("active", snap.active)
-                    .with_field("queue_capacity", self.cfg.queue_capacity)
-                    .with_field("workers", graphsig_core::resolve_threads(self.cfg.workers))
-                    .with_field("segments_queued", snap.segments)
-                    .with_field("coalesce_leads", snap.coalesce_leads)
-                    .with_field("coalesce_riders", snap.coalesce_riders)
-                    .with_field("queue_wait_us", snap.queue_wait_us)
-                    .with_field("exec_us", snap.exec_us)
-                    .with_field("op_load", self.counters.op_load.load(Ordering::Relaxed))
-                    .with_field("op_mine", self.counters.op_mine.load(Ordering::Relaxed))
-                    .with_field("op_freq", self.counters.op_freq.load(Ordering::Relaxed))
-                    .with_field("op_sweep", self.counters.op_sweep.load(Ordering::Relaxed))
-                    .with_field("op_stats", self.counters.op_stats.load(Ordering::Relaxed))
-                    .with_field("resident_bytes", resident)
-                    .with_field("evictions", self.counters.evictions.load(Ordering::Relaxed))
-                    .with_field("store_retries", self.cfg.io.retries());
-                if let Some(max) = self.cfg.max_resident_bytes {
-                    resp = resp.with_field("max_resident_bytes", max);
-                }
-                resp
-            }
-            Some(name) => match self.dataset(name) {
+    fn exec_stats(&self, id: &str, dataset: Option<&str>, flight: &Flight) -> Response {
+        if let Some(name) = dataset {
+            return match self.registry.get(name, flight.ticket) {
+                Ok(d) => d.stats_response(id),
                 Err(e) => Response::error(id, "stats", e),
-                Ok(d) => {
-                    let s = d.db.stats();
-                    let cache = d.prepared.stats();
-                    let mut resp = Response::new(id, "stats", Status::Ok)
-                        .with_field("dataset", &d.name)
-                        .with_field("version", d.version)
-                        .with_field("graphs", s.graph_count)
-                        .with_field("nodes", s.total_nodes)
-                        .with_field("edges", s.total_edges)
-                        .with_field("segments", d.slots.len())
-                        .with_field(
-                            "segments_indexed",
-                            d.slots.iter().filter(|s| s.index.get().is_some()).count(),
-                        )
-                        .with_field("prepared_hits", cache.hits)
-                        .with_field("prepared_misses", cache.misses)
-                        .with_field("prepared_bypasses", cache.bypasses)
-                        .with_field("prepared_entries", cache.entries)
-                        .with_field("resident_bytes", d.resident_bytes());
-                    if let Some(info) = &d.store {
-                        resp = resp
-                            .with_field("shards", info.manifest_shards - info.quarantined)
-                            .with_field("quarantined", info.quarantined)
-                            .with_field("disk_bytes", info.disk_bytes)
-                            .with_field("store_version", info.store_version);
-                    }
-                    if let Some(flag) = d.degraded() {
-                        resp = resp.with_field("degraded", flag);
-                    }
-                    // The shared index is only reported once built — its
-                    // presence is itself the observability signal that
-                    // `freq` requests are reusing one build.
-                    if let Some(index) = d.index.get() {
-                        resp = resp
-                            .with_field("index_types", index.len())
-                            .with_field("index_occurrences", index.total_occurrences());
-                    }
-                    resp
-                }
-            },
+            };
+        }
+        let snap = self.snapshot();
+        let (datasets, resident) = self.registry.totals();
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let c = &self.counters;
+        let resp = Response::new(id, "stats", Status::Ok)
+            .with_field("datasets", datasets)
+            .with_field("received", snap.received)
+            .with_field("served", snap.served)
+            .with_field("busy_rejected", snap.busy_rejected)
+            .with_field("errors", snap.errors)
+            .with_field("panics", snap.panics)
+            .with_field("queued", snap.queued)
+            .with_field("active", snap.active)
+            .with_field("queue_capacity", self.cfg.queue_capacity)
+            .with_field("workers", graphsig_core::resolve_threads(self.cfg.workers))
+            .with_field("segments_queued", snap.segments)
+            .with_field("coalesce_leads", snap.coalesce_leads)
+            .with_field("coalesce_riders", snap.coalesce_riders)
+            .with_field("queue_wait_us", snap.queue_wait_us)
+            .with_field("exec_us", snap.exec_us)
+            .with_field("op_load", load(&c.op_load))
+            .with_field("op_mine", load(&c.op_mine))
+            .with_field("op_freq", load(&c.op_freq))
+            .with_field("op_sweep", load(&c.op_sweep))
+            .with_field("op_stats", load(&c.op_stats))
+            .with_field("resident_bytes", resident)
+            .with_field("evictions", load(&self.registry.evictions))
+            .with_field("store_retries", self.cfg.io.retries());
+        match self.cfg.max_resident_bytes {
+            Some(max) => resp.with_field("max_resident_bytes", max),
+            None => resp,
         }
     }
 }
 
-/// How one governed pipeline run ended.
-enum MineRun {
-    /// The run's token fell before (injected sleep) or during the work.
-    Cancelled,
-    /// The pipeline produced an outcome (complete or truncated).
-    Done(Outcome<GraphSigResult>, CacheDisposition),
-}
-
-/// Render one mine response from a (possibly shared) outcome. Rendering is
-/// the only per-rider step of a coalesced run — `top` caps the payload —
-/// so identical `top`s produce byte-identical responses up to the id.
-fn mine_response(
-    id: &str,
-    dataset: &Dataset,
-    outcome: &Outcome<GraphSigResult>,
-    disposition: CacheDisposition,
-    top: usize,
-) -> Response {
-    let payload = render_subgraphs(&dataset.db, &outcome.result, top);
-    with_degraded(
-        Response::new(id, "mine", Status::Ok)
-            .with_field("dataset", &dataset.name)
-            .with_field("version", dataset.version),
-        dataset,
-    )
-    .with_field("completion", outcome.completion)
-    .with_field("cached", disposition)
-    .with_field("subgraphs", outcome.result.subgraphs.len())
-    .with_payload(payload)
-}
-
-/// Tack the `degraded=K/N` flag onto a response when the dataset's backing
-/// store lost shards — every answer over partial data says so explicitly.
-fn with_degraded(resp: Response, dataset: &Dataset) -> Response {
-    match dataset.degraded() {
-        Some(flag) => resp.with_field("degraded", flag),
-        None => resp,
+/// Add a load batch to `db`. A fresh load takes the batch whole, keeping
+/// its label table exactly as read.
+fn absorb(db: &mut GraphDb, batch: GraphDb, fresh: bool) {
+    if fresh {
+        *db = batch;
+    } else {
+        db.absorb(&batch);
     }
-}
-
-/// The per-threshold knobs shared by `freq` and `sweep`.
-struct FreqParams {
-    backend: Option<BackendKind>,
-    matcher: MatcherKind,
-    max_edges: usize,
-    max_patterns: usize,
-    threads: usize,
-}
-
-/// One indexed frequent-mining run — the single implementation behind both
-/// `freq` and each `sweep` threshold, so their results (and rendered
-/// payloads) agree byte-for-byte.
-fn run_freq(
-    db: &GraphDb,
-    index: &LabelPairIndex,
-    min_support: usize,
-    params: &FreqParams,
-    budget: Budget,
-) -> Outcome<Vec<Pattern>> {
-    match params.backend {
-        None | Some(BackendKind::Fsg) => Fsg::new(
-            FsgConfig::new(min_support)
-                .with_max_edges(params.max_edges)
-                .with_max_patterns(params.max_patterns)
-                .with_matcher(params.matcher)
-                .with_threads(params.threads)
-                .with_budget(budget),
-        )
-        .mine_indexed_outcome(db, index),
-        Some(BackendKind::GSpan) => GSpan::new(
-            MinerConfig::new(min_support)
-                .with_max_edges(params.max_edges)
-                .with_max_patterns(params.max_patterns)
-                .with_threads(params.threads)
-                .with_budget(budget),
-        )
-        .mine_indexed_outcome(db, index),
-    }
-}
-
-/// Render `freq` results: a stats comment plus a transaction block per
-/// pattern (same shape as the `mine` payload).
-fn render_patterns(db: &GraphDb, patterns: &[Pattern]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for (i, p) in patterns.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "# pattern {i}: support {} graphs ({:.3}%), {} edges",
-            p.support,
-            100.0 * p.frequency(db.len()),
-            p.graph.edge_count()
-        );
-        let one = GraphDb::from_parts(vec![p.graph.clone()], db.labels().clone());
-        out.push_str(&graphsig_graph::write_transactions(&one));
-    }
-    out
 }
 
 /// Sleep in small cancellable slices. Returns `false` when cancelled.

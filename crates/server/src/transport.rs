@@ -40,8 +40,8 @@
 //! ```
 //!
 //! "No in-flight response pending" is tracked by `Arc` strong counts on
-//! the connection's [`SharedWriter`]: every queued job, coalesced rider,
-//! and sweep flight holds a clone until its response is written, so a
+//! the connection's [`SharedWriter`]: every admitted request's rider (see
+//! `crate::flight`) holds a clone until its response is written, so a
 //! count of one means every accepted request has answered and the
 //! connection can close without dropping a response.
 

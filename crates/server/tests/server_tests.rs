@@ -658,3 +658,82 @@ fn packed_load_retries_transient_store_faults_and_reports_the_count() {
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn requests_see_every_load_admitted_before_them() {
+    // Idle workers race ahead of a running load, but a request naming a
+    // dataset still sees every load of it admitted earlier: an append sent
+    // right behind its load extends it, and reads sent right behind both
+    // answer over the appended version.
+    let server = Server::new(ServerConfig {
+        workers: 4,
+        queue_capacity: 64,
+        ..ServerConfig::default()
+    });
+    let sink = Sink::default();
+    let out = writer(&sink);
+    for round in 0..20 {
+        let ids: Vec<String> = ["L", "A", "M", "F", "S"]
+            .iter()
+            .map(|op| format!("{op}{round}"))
+            .collect();
+        let d = format!("dataset=d{round}");
+        for line in [
+            format!("load id=L{round} {d} gen=aids count=30 seed={round}"),
+            format!("load id=A{round} {d} gen=aids count=30 seed=7 append=true"),
+            format!("mine id=M{round} {d} min_freq=0.1 max_pvalue=0.1 radius=2"),
+            format!("freq id=F{round} {d} min_support=10 max_edges=3"),
+            format!("sweep id=S{round} {d} supports=15,10 max_edges=3"),
+        ] {
+            server.dispatch_line(&line, &out);
+        }
+        let responses = wait_all(&sink, &ids);
+        for id in &ids {
+            let (h, _) = responses.iter().find(|(h, _)| &h.id == id).unwrap();
+            assert_eq!(h.status, Status::Ok, "{h:?}");
+            let version = if id.starts_with('L') { "1" } else { "2" };
+            assert_eq!(h.field("version"), Some(version), "{h:?}");
+        }
+        let (append, _) = responses.iter().find(|(h, _)| h.id == ids[1]).unwrap();
+        assert_eq!(append.field("graphs"), Some("60"), "{append:?}");
+    }
+    server.join();
+}
+
+#[test]
+fn concurrent_loads_never_both_pass_a_ceiling_only_one_fits() {
+    // Admission checks the ceiling, evicts and inserts under one lock, so
+    // two loads racing on two workers can never both be admitted.
+    let bytes = graphsig_datagen::aids_like(150, 4)
+        .db
+        .approx_resident_bytes();
+    let max = bytes + bytes / 2;
+    for round in 0..20 {
+        let server = Server::new(ServerConfig {
+            workers: 2,
+            max_resident_bytes: Some(max),
+            ..ServerConfig::default()
+        });
+        let sink = Sink::default();
+        let out = writer(&sink);
+        server.dispatch_line("load id=a dataset=a gen=aids count=150 seed=4", &out);
+        server.dispatch_line("load id=b dataset=b gen=aids count=150 seed=4", &out);
+        let responses = wait_all(&sink, &["a".into(), "b".into()]);
+        let admitted = responses
+            .iter()
+            .filter(|(h, _)| h.status == Status::Ok)
+            .count();
+        assert_eq!(admitted, 1, "round {round}: exactly one load fits");
+        let (rejected, _) = responses
+            .iter()
+            .find(|(h, _)| h.status == Status::Error)
+            .expect("the other load is rejected");
+        assert_eq!(rejected.field("code"), Some("resource_exhausted"));
+        server.dispatch_line("stats id=s", &out);
+        let responses = wait_all(&sink, &["s".into()]);
+        let (s, _) = responses.iter().find(|(h, _)| h.id == "s").unwrap();
+        let resident: u64 = s.field("resident_bytes").unwrap().parse().unwrap();
+        assert!(resident <= max, "round {round}: {resident} > {max}");
+        server.join();
+    }
+}
