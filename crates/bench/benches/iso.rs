@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use graphsig_datagen::{aids_like, motifs, standard_alphabet};
-use graphsig_graph::SubgraphMatcher;
+use graphsig_graph::iso::contains;
 use graphsig_gspan::min_dfs_code;
 
 fn bench_iso(c: &mut Criterion) {
@@ -12,21 +12,21 @@ fn bench_iso(c: &mut Criterion) {
     let azt = motifs::azt_like(&alphabet);
     let benzene = motifs::benzene(&alphabet);
 
-    c.bench_function("vf2/motif_scan_100_molecules", |b| {
+    c.bench_function("contains/motif_scan_100_molecules", |b| {
         b.iter(|| {
             data.db
                 .graphs()
                 .iter()
-                .filter(|g| SubgraphMatcher::new(&azt, g).exists())
+                .filter(|g| contains(g, &azt))
                 .count()
         })
     });
-    c.bench_function("vf2/benzene_scan_100_molecules", |b| {
+    c.bench_function("contains/benzene_scan_100_molecules", |b| {
         b.iter(|| {
             data.db
                 .graphs()
                 .iter()
-                .filter(|g| SubgraphMatcher::new(&benzene, g).exists())
+                .filter(|g| contains(g, &benzene))
                 .count()
         })
     });

@@ -4,24 +4,20 @@
 //! figures — a frequency-threshold sweep (Fig. 9) and a database-size
 //! sweep (Fig. 11) — once with `threads = 1` and once with `threads = N`
 //! (default: one per core, floored at 2 so the parallel code path always
-//! runs). FSG points run under both isomorphism engines (`fast` compiled
-//! bitset matcher and the `vf2` reference), asserting identical pattern
-//! lists across engines on ungoverned runs. Every point asserts the
-//! seq/par arms produce byte-identical pattern lists, then the timings go
-//! to `BENCH_baselines.json` (with `cores` and per-run `matcher` fields)
-//! so speedups can be tracked across commits.
+//! runs). Every point asserts the seq/par arms produce byte-identical
+//! pattern lists, then the timings go to `BENCH_baselines.json` (with a
+//! `cores` field per run) so speedups can be tracked across commits.
 //!
 //! Usage: `bench_baselines [--scale f] [--seed u] [--threads n] [--smoke]`
 //! where `--threads` sets the parallel arm (`0` = auto) and `--smoke` runs
 //! a tiny dataset, asserts equality, and writes nothing (the CI gate).
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
-use graphsig_bench::{secs, timed, Cli};
+use graphsig_bench::{fingerprint, secs, set_fingerprint, timed, Cli};
 use graphsig_datagen::aids_like;
 use graphsig_fsg::{Fsg, FsgConfig};
-use graphsig_graph::{resolve_threads, Budget, GraphDb, LabelPairIndex, MatcherKind};
+use graphsig_graph::{resolve_threads, Budget, GraphDb, LabelPairIndex};
 use graphsig_gspan::{GSpan, MinerConfig, Pattern};
 
 /// Abort cap shared by every run: the low-frequency points explode by
@@ -52,12 +48,9 @@ impl Miner {
         support: usize,
         threads: usize,
         budget: Option<&Budget>,
-        matcher: MatcherKind,
     ) -> (Vec<Pattern>, Duration) {
         match self {
             Miner::GSpan => {
-                // gSpan extends embeddings directly; its mining loop never
-                // calls the subgraph matcher, so `matcher` is moot here.
                 let mut cfg = MinerConfig::new(support)
                     .with_max_edges(MAX_EDGES)
                     .with_max_patterns(MAX_PATTERNS)
@@ -71,8 +64,7 @@ impl Miner {
                 let mut cfg = FsgConfig::new(support)
                     .with_max_edges(MAX_EDGES)
                     .with_max_patterns(MAX_PATTERNS)
-                    .with_threads(threads)
-                    .with_matcher(matcher);
+                    .with_threads(threads);
                 if let Some(b) = budget {
                     cfg = cfg.with_budget(b.clone());
                 }
@@ -82,20 +74,8 @@ impl Miner {
     }
 }
 
-/// Stable fingerprint of a mined pattern list: every code, support and gid
-/// list, in order. Byte-identical across runs iff the output is.
-fn fingerprint(pats: &[Pattern]) -> String {
-    let mut s = String::new();
-    for p in pats {
-        let _ = writeln!(s, "{:?} sup={} gids={:?}", p.code, p.support, p.gids);
-    }
-    s
-}
-
-/// One benchmark point: both thread arms under one isomorphism engine,
-/// determinism assert, JSON fragment plus the sequential fingerprint (so
-/// the caller can cross-check engines against each other).
-#[allow(clippy::too_many_arguments)]
+/// One benchmark point: both thread arms of one miner, determinism
+/// assert, JSON fragment.
 fn run_point(
     miner: Miner,
     sweep: &str,
@@ -104,11 +84,10 @@ fn run_point(
     support: usize,
     par_threads: usize,
     budget: Option<&Budget>,
-    matcher: MatcherKind,
-) -> (String, String) {
+) -> String {
     let index = LabelPairIndex::build(db);
-    let (seq, seq_t) = miner.mine(db, &index, support, 1, budget, matcher);
-    let (par, par_t) = miner.mine(db, &index, support, par_threads, budget, matcher);
+    let (seq, seq_t) = miner.mine(db, &index, support, 1, budget);
+    let (par, par_t) = miner.mine(db, &index, support, par_threads, budget);
     // Step-budget truncation is deterministic, so the byte-identity gate
     // holds under `--max-steps`; a wall-clock deadline makes the stop
     // point scheduling-dependent, so only then is the gate waived.
@@ -116,7 +95,7 @@ fn run_point(
         assert_eq!(
             fingerprint(&seq),
             fingerprint(&par),
-            "{} {sweep}={param} matcher={matcher}: parallel output differs from sequential",
+            "{} {sweep}={param}: parallel output differs from sequential",
             miner.name()
         );
     }
@@ -129,7 +108,7 @@ fn run_point(
     let meaningful = cores > 1;
     let note = if meaningful { "" } else { " (1 core: noise)" };
     println!(
-        "{:<5} {sweep}={param:<6} matcher={matcher:<4} |D|={:<5} support={:<4} patterns={:<6} seq {}s, par {}s, speedup {:.2}x{note}",
+        "{:<5} {sweep}={param:<6} |D|={:<5} support={:<4} patterns={:<6} seq {}s, par {}s, speedup {:.2}x{note}",
         miner.name(),
         db.len(),
         support,
@@ -138,8 +117,8 @@ fn run_point(
         secs(par_t),
         speedup
     );
-    let json = format!(
-        "    {{ \"miner\": \"{}\", \"matcher\": \"{matcher}\", \"sweep\": \"{sweep}\", \"param\": {param}, \"molecules\": {}, \"min_support\": {support}, \"patterns\": {}, \"truncated\": {}, \"seq_s\": {}, \"par_s\": {}, \"speedup\": {:.3}, \"cores\": {cores}, \"speedup_meaningful\": {meaningful}, \"outputs_identical\": true }}",
+    format!(
+        "    {{ \"miner\": \"{}\", \"sweep\": \"{sweep}\", \"param\": {param}, \"molecules\": {}, \"min_support\": {support}, \"patterns\": {}, \"truncated\": {}, \"seq_s\": {}, \"par_s\": {}, \"speedup\": {:.3}, \"cores\": {cores}, \"speedup_meaningful\": {meaningful}, \"outputs_identical\": true }}",
         miner.name(),
         db.len(),
         seq.len(),
@@ -147,63 +126,7 @@ fn run_point(
         secs(seq_t),
         secs(par_t),
         speedup
-    );
-    (json, fingerprint(&seq))
-}
-
-/// Run one operating point across miners and engines: gSpan once (its
-/// mining loop is matcher-independent), FSG under both engines with a
-/// cross-engine byte-identity assert on ungoverned runs. Step budgets are
-/// spent per-engine (the engines count candidate work differently), so the
-/// cross-engine gate only applies when no budget governs the run.
-fn run_matrix(
-    runs: &mut Vec<String>,
-    sweep: &str,
-    param: f64,
-    db: &GraphDb,
-    support: usize,
-    par_threads: usize,
-    budget: Option<&Budget>,
-) {
-    let (json, _) = run_point(
-        Miner::GSpan,
-        sweep,
-        param,
-        db,
-        support,
-        par_threads,
-        budget,
-        MatcherKind::default(),
-    );
-    runs.push(json);
-    let (json_fast, fp_fast) = run_point(
-        Miner::Fsg,
-        sweep,
-        param,
-        db,
-        support,
-        par_threads,
-        budget,
-        MatcherKind::Fast,
-    );
-    runs.push(json_fast);
-    let (json_vf2, fp_vf2) = run_point(
-        Miner::Fsg,
-        sweep,
-        param,
-        db,
-        support,
-        par_threads,
-        budget,
-        MatcherKind::Vf2,
-    );
-    runs.push(json_vf2);
-    if budget.is_none() {
-        assert_eq!(
-            fp_fast, fp_vf2,
-            "fsg {sweep}={param}: fast and vf2 engines mined different patterns"
-        );
-    }
+    )
 }
 
 fn main() {
@@ -214,35 +137,23 @@ fn main() {
     let budget = cli.budget();
     if cli.smoke {
         // CI gate: tiny dataset, assert sequential == parallel for both
-        // miners at a couple of thread counts plus fast == vf2 for FSG,
-        // write nothing. With budget flags this doubles as fault
-        // injection: a step-budgeted run must stay byte-identical across
-        // thread counts even while truncated (engines spend budgets
-        // differently, so the cross-engine gate is ungoverned-only).
+        // miners at a couple of thread counts, write nothing. With budget
+        // flags this doubles as fault injection: a step-budgeted run must
+        // stay byte-identical across thread counts even while truncated.
+        // Unbudgeted, FSG and gSpan must also mine the same pattern set
+        // (the two miners spend step budgets differently, so budgeted
+        // runs only keep the thread-count gate).
         let data = aids_like(60, cli.seed);
         let index = LabelPairIndex::build(&data.db);
+        let mut sets = Vec::new();
         for miner in [Miner::GSpan, Miner::Fsg] {
-            let (seq, _) = miner.mine(
-                &data.db,
-                &index,
-                6,
-                1,
-                budget.as_ref(),
-                MatcherKind::default(),
-            );
+            let (seq, _) = miner.mine(&data.db, &index, 6, 1, budget.as_ref());
             if budget.is_none() {
                 assert!(!seq.is_empty(), "smoke workload mined nothing");
             }
             if budget.as_ref().is_none_or(|b| b.deadline().is_none()) {
                 for threads in [2, 4] {
-                    let (par, _) = miner.mine(
-                        &data.db,
-                        &index,
-                        6,
-                        threads,
-                        budget.as_ref(),
-                        MatcherKind::default(),
-                    );
+                    let (par, _) = miner.mine(&data.db, &index, 6, threads, budget.as_ref());
                     assert_eq!(
                         fingerprint(&seq),
                         fingerprint(&par),
@@ -251,45 +162,18 @@ fn main() {
                     );
                 }
             }
-            if matches!(miner, Miner::Fsg) && budget.is_none() {
-                let (vf2, _) = miner.mine(&data.db, &index, 6, 1, None, MatcherKind::Vf2);
-                assert_eq!(
-                    fingerprint(&seq),
-                    fingerprint(&vf2),
-                    "smoke: fsg fast vs vf2 output differs"
-                );
-            }
-            // Canonicalization accelerators (FSG certificates, gSpan
-            // canonical cache) must be invisible in mined output.
-            if budget.is_none() {
-                let off = match miner {
-                    Miner::Fsg => Fsg::new(
-                        FsgConfig::new(6)
-                            .with_max_edges(MAX_EDGES)
-                            .with_max_patterns(MAX_PATTERNS)
-                            .with_certificates(false),
-                    )
-                    .mine_indexed(&data.db, &index),
-                    Miner::GSpan => GSpan::new(
-                        MinerConfig::new(6)
-                            .with_max_edges(MAX_EDGES)
-                            .with_max_patterns(MAX_PATTERNS)
-                            .with_canon_cache(false),
-                    )
-                    .mine_indexed(&data.db, &index),
-                };
-                assert_eq!(
-                    fingerprint(&seq),
-                    fingerprint(&off),
-                    "smoke: {} canonicalization accelerator changed output",
-                    miner.name()
-                );
-            }
             println!("smoke: {} OK ({} patterns)", miner.name(), seq.len());
+            sets.push(set_fingerprint(&seq));
         }
-        println!(
-            "smoke: outputs identical at threads 1/2/4, across engines, and with accelerators off"
-        );
+        if budget.is_none() {
+            assert_eq!(
+                sets[0], sets[1],
+                "smoke: FSG and gSpan mined different sets"
+            );
+            println!("smoke: outputs identical at threads 1/2/4, and FSG == gSpan");
+        } else {
+            println!("smoke: outputs identical at threads 1/2/4");
+        }
         return;
     }
 
@@ -309,19 +193,24 @@ fn main() {
     }
 
     let mut runs: Vec<String> = Vec::new();
+    let mut point = |sweep: &str, param: f64, db: &GraphDb, support: usize| {
+        for miner in [Miner::GSpan, Miner::Fsg] {
+            runs.push(run_point(
+                miner,
+                sweep,
+                param,
+                db,
+                support,
+                par_threads,
+                budget.as_ref(),
+            ));
+        }
+    };
 
     // Fig. 9 operating points: runtime vs frequency threshold, full DB.
     for freq in [0.10, 0.07, 0.05] {
         let support = ((freq * data.len() as f64).ceil() as usize).max(1);
-        run_matrix(
-            &mut runs,
-            "frequency",
-            freq,
-            &data.db,
-            support,
-            par_threads,
-            budget.as_ref(),
-        );
+        point("frequency", freq, &data.db, support);
     }
 
     // Fig. 11 operating points: runtime vs database size, fixed frequency.
@@ -330,15 +219,7 @@ fn main() {
         let m = ((data.len() as f64 * frac).round() as usize).max(1);
         let sub = aids_like(m, cli.seed);
         let support = ((freq * sub.len() as f64).ceil() as usize).max(1);
-        run_matrix(
-            &mut runs,
-            "db_size",
-            frac,
-            &sub.db,
-            support,
-            par_threads,
-            budget.as_ref(),
-        );
+        point("db_size", frac, &sub.db, support);
     }
 
     let json = format!(

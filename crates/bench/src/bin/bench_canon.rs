@@ -1,32 +1,26 @@
-//! Canonicalization microbenchmark: certificates vs. full min-code.
-//!
-//! Measures the canonicalization-v2 layer on the Fig. 9 operating points
+//! Canonicalization benchmark on the Fig. 9 operating points
 //! (frequency-threshold sweep over the AIDS-like generator):
 //!
-//! * **FSG**: certificate pipeline (dedup + downward closure through
-//!   1-WL certificates, min-code only on emitted survivors) vs. the
-//!   legacy canonicalize-every-candidate pipeline — wall time,
-//!   canonicalization calls, certificate hits, and a byte-identity
-//!   assert on the mined pattern lists.
-//! * **gSpan**: the certificate-keyed [`CanonCache`] behind the `is_min`
-//!   gate, on vs. off, same asserts and counters.
+//! * **FSG** — dedup and downward closure through 1-WL certificates,
+//!   `min_dfs_code` only on emitted patterns — and **gSpan** — the plain
+//!   `is_min` gate at every search node: wall time, canonicalization
+//!   calls and certificate hits, with an assert that both miners return
+//!   the same pattern set.
 //! * **Per-call `min_dfs_code` latency** over the mined pattern graphs,
 //!   with automorphism-orbit pruning of starting embeddings on vs. off
-//!   (codes asserted equal).
+//!   (codes asserted equal), plus uniform cycles, pruning's best case.
 //!
 //! Full mode writes `BENCH_canon.json`. `--smoke` is the CI regression
-//! gate: it runs the Fig. 9 freq=0.07 point and asserts the legacy
-//! canonicalization-call count stays at its recorded level (≤ 32.0k
-//! calls) and that the certificate pipeline performs strictly fewer —
+//! gate: at the Fig. 9 freq=0.07 point it asserts that FSG spends at most
+//! 32.0k canonicalization calls and mines the same pattern set as gSpan,
 //! so a change that silently reintroduces per-candidate canonicalization
 //! fails CI, not just a benchmark trend line.
 //!
 //! Usage: `bench_canon [--scale f] [--seed u] [--smoke]`
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use graphsig_bench::{secs, timed, Cli};
+use graphsig_bench::{secs, set_fingerprint, timed, Cli};
 use graphsig_datagen::aids_like;
 use graphsig_fsg::{Fsg, FsgConfig};
 use graphsig_graph::{Budget, Graph, GraphDb, LabelPairIndex};
@@ -36,24 +30,12 @@ use graphsig_gspan::{min_dfs_code, min_dfs_code_unpruned, GSpan, MinerConfig, Pa
 const MAX_PATTERNS: usize = 20_000;
 const MAX_EDGES: usize = 8;
 
-/// CI gate: canonicalization calls the *default* FSG pipeline may spend
-/// at Fig. 9 freq=0.07 (scale 1.0, seed 42). The pre-certificate
-/// pipeline paid ~32k calls here (one `min_dfs_code` per generated
-/// candidate plus one per apriori subpattern — 53k with the counters
-/// now visible); the certificate pipeline canonicalizes only emitted
-/// survivors (~0.7k). The ceiling is the old pipeline's level, so a
-/// change that quietly reintroduces per-candidate canonicalization into
-/// the default path fails CI even before the strictly-fewer assert.
-const DEFAULT_CANON_CALLS_CEILING: u64 = 32_000;
-
-/// Stable fingerprint of a mined pattern list (same as bench_baselines).
-fn fingerprint(pats: &[Pattern]) -> String {
-    let mut s = String::new();
-    for p in pats {
-        let _ = writeln!(s, "{:?} sup={} gids={:?}", p.code, p.support, p.gids);
-    }
-    s
-}
+/// CI gate: canonicalization calls FSG may spend at Fig. 9 freq=0.07
+/// (scale 1.0, seed 42). A pipeline that canonicalizes every generated
+/// candidate paid ~32k calls here (53k counting the downward-closure
+/// subpatterns too); the certificate pipeline canonicalizes only emitted
+/// patterns (~0.7k).
+const CANON_CALLS_CEILING: u64 = 32_000;
 
 struct Run {
     pats: Vec<Pattern>,
@@ -62,15 +44,10 @@ struct Run {
     cert_hits: u64,
 }
 
-/// Mine with FSG (certificates on/off), counters attached.
-fn run_fsg(db: &GraphDb, index: &LabelPairIndex, support: usize, certificates: bool) -> Run {
+/// One mine with an unlimited budget attached, so the counters flow.
+fn counted(mine: impl FnOnce(Budget) -> Vec<Pattern>) -> Run {
     let budget = Budget::unlimited();
-    let cfg = FsgConfig::new(support)
-        .with_max_edges(MAX_EDGES)
-        .with_max_patterns(MAX_PATTERNS)
-        .with_certificates(certificates)
-        .with_budget(budget.clone());
-    let (pats, time) = timed(|| Fsg::new(cfg.clone()).mine_indexed(db, index));
+    let (pats, time) = timed(|| mine(budget.clone()));
     Run {
         pats,
         time,
@@ -79,21 +56,32 @@ fn run_fsg(db: &GraphDb, index: &LabelPairIndex, support: usize, certificates: b
     }
 }
 
-/// Mine with gSpan (canonical cache on/off), counters attached.
-fn run_gspan(db: &GraphDb, index: &LabelPairIndex, support: usize, cache: bool) -> Run {
-    let budget = Budget::unlimited();
-    let cfg = MinerConfig::new(support)
-        .with_max_edges(MAX_EDGES)
-        .with_max_patterns(MAX_PATTERNS)
-        .with_canon_cache(cache)
-        .with_budget(budget.clone());
-    let (pats, time) = timed(|| GSpan::new(cfg.clone()).mine_indexed(db, index));
-    Run {
-        pats,
-        time,
-        canon_calls: budget.canon_calls(),
-        cert_hits: budget.cert_hits(),
+/// Both miners at one threshold; asserts they mine the same pattern set
+/// unless the pattern cap cut either short.
+fn run_both(freq: f64, db: &GraphDb, support: usize) -> (Run, Run) {
+    let index = LabelPairIndex::build(db);
+    let fsg = counted(|budget| {
+        let cfg = FsgConfig::new(support)
+            .with_max_edges(MAX_EDGES)
+            .with_max_patterns(MAX_PATTERNS)
+            .with_budget(budget);
+        Fsg::new(cfg).mine_indexed(db, &index)
+    });
+    let gsp = counted(|budget| {
+        let cfg = MinerConfig::new(support)
+            .with_max_edges(MAX_EDGES)
+            .with_max_patterns(MAX_PATTERNS)
+            .with_budget(budget);
+        GSpan::new(cfg).mine_indexed(db, &index)
+    });
+    if fsg.pats.len() < MAX_PATTERNS && gsp.pats.len() < MAX_PATTERNS {
+        assert_eq!(
+            set_fingerprint(&fsg.pats),
+            set_fingerprint(&gsp.pats),
+            "freq={freq}: FSG and gSpan mined different pattern sets"
+        );
     }
+    (fsg, gsp)
 }
 
 /// Mean per-call `min_dfs_code` latency (ns) over `graphs`, pruned vs.
@@ -151,51 +139,21 @@ fn symmetric_stress() -> Vec<String> {
     rows
 }
 
-/// One Fig. 9 point: both miners, both canonicalization modes, with
-/// byte-identity asserts. Returns the JSON fragment.
+/// One Fig. 9 point: both miners plus min-code latency. Returns the JSON
+/// fragment.
 fn run_point(freq: f64, db: &GraphDb, support: usize) -> String {
-    let index = LabelPairIndex::build(db);
-
-    let fsg_cert = run_fsg(db, &index, support, true);
-    let fsg_legacy = run_fsg(db, &index, support, false);
-    assert_eq!(
-        fingerprint(&fsg_cert.pats),
-        fingerprint(&fsg_legacy.pats),
-        "fsg freq={freq}: certificate pipeline mined different patterns"
-    );
-    assert!(
-        fsg_cert.canon_calls < fsg_legacy.canon_calls,
-        "fsg freq={freq}: certificates did not reduce canonicalization \
-         ({} vs {})",
-        fsg_cert.canon_calls,
-        fsg_legacy.canon_calls
-    );
-
-    let gsp_cache = run_gspan(db, &index, support, true);
-    let gsp_plain = run_gspan(db, &index, support, false);
-    assert_eq!(
-        fingerprint(&gsp_cache.pats),
-        fingerprint(&gsp_plain.pats),
-        "gspan freq={freq}: canonical cache changed mined patterns"
-    );
-
-    let graphs: Vec<&Graph> = fsg_cert.pats.iter().map(|p| &p.graph).collect();
+    let (fsg, gsp) = run_both(freq, db, support);
+    let graphs: Vec<&Graph> = fsg.pats.iter().map(|p| &p.graph).collect();
     let (pruned_ns, unpruned_ns) = min_code_latency(&graphs);
 
     println!(
-        "freq={freq:<5} fsg cert {}s ({} canon, {} cert hits) vs legacy {}s ({} canon) | \
-         gspan cached {}s ({} canon, {} hits) vs plain {}s ({} canon) | \
+        "freq={freq:<5} fsg {}s ({} canon, {} cert hits) | gspan {}s ({} canon) | \
          min_dfs_code {:.0}ns pruned vs {:.0}ns unpruned over {} patterns",
-        secs(fsg_cert.time),
-        fsg_cert.canon_calls,
-        fsg_cert.cert_hits,
-        secs(fsg_legacy.time),
-        fsg_legacy.canon_calls,
-        secs(gsp_cache.time),
-        gsp_cache.canon_calls,
-        gsp_cache.cert_hits,
-        secs(gsp_plain.time),
-        gsp_plain.canon_calls,
+        secs(fsg.time),
+        fsg.canon_calls,
+        fsg.cert_hits,
+        secs(gsp.time),
+        gsp.canon_calls,
         pruned_ns,
         unpruned_ns,
         graphs.len()
@@ -203,23 +161,16 @@ fn run_point(freq: f64, db: &GraphDb, support: usize) -> String {
 
     format!(
         "    {{ \"frequency\": {freq}, \"min_support\": {support}, \"patterns\": {}, \
-\"fsg_cert_s\": {}, \"fsg_cert_canon_calls\": {}, \"fsg_cert_hits\": {}, \
-\"fsg_legacy_s\": {}, \"fsg_legacy_canon_calls\": {}, \
-\"gspan_cached_s\": {}, \"gspan_cached_canon_calls\": {}, \"gspan_cached_cert_hits\": {}, \
-\"gspan_plain_s\": {}, \"gspan_plain_canon_calls\": {}, \
+\"fsg_s\": {}, \"fsg_canon_calls\": {}, \"fsg_cert_hits\": {}, \
+\"gspan_s\": {}, \"gspan_canon_calls\": {}, \
 \"min_code_pruned_ns\": {:.0}, \"min_code_unpruned_ns\": {:.0}, \
-\"outputs_identical\": true }}",
-        fsg_cert.pats.len(),
-        secs(fsg_cert.time),
-        fsg_cert.canon_calls,
-        fsg_cert.cert_hits,
-        secs(fsg_legacy.time),
-        fsg_legacy.canon_calls,
-        secs(gsp_cache.time),
-        gsp_cache.canon_calls,
-        gsp_cache.cert_hits,
-        secs(gsp_plain.time),
-        gsp_plain.canon_calls,
+\"same_pattern_set\": true }}",
+        fsg.pats.len(),
+        secs(fsg.time),
+        fsg.canon_calls,
+        fsg.cert_hits,
+        secs(gsp.time),
+        gsp.canon_calls,
         pruned_ns,
         unpruned_ns
     )
@@ -231,38 +182,22 @@ fn main() {
     let data = aids_like(n, cli.seed);
 
     if cli.smoke {
-        // CI regression gate at the recorded operating point: the legacy
-        // count must stay at its measured level and certificates must
-        // beat it outright, with byte-identical output.
+        // CI regression gate at the recorded operating point.
         let freq = 0.07;
         let support = ((freq * data.len() as f64).ceil() as usize).max(1);
-        let index = LabelPairIndex::build(&data.db);
-        let cert = run_fsg(&data.db, &index, support, true);
-        let legacy = run_fsg(&data.db, &index, support, false);
-        assert_eq!(
-            fingerprint(&cert.pats),
-            fingerprint(&legacy.pats),
-            "smoke: certificate pipeline mined different patterns"
-        );
+        let (fsg, gsp) = run_both(freq, &data.db, support);
         assert!(
-            cert.canon_calls <= DEFAULT_CANON_CALLS_CEILING,
-            "smoke: default-pipeline canonicalization count regressed \
-             ({} > {DEFAULT_CANON_CALLS_CEILING})",
-            cert.canon_calls
-        );
-        assert!(
-            cert.canon_calls < legacy.canon_calls,
-            "smoke: certificates no longer reduce canonicalization \
-             ({} vs {})",
-            cert.canon_calls,
-            legacy.canon_calls
+            fsg.canon_calls <= CANON_CALLS_CEILING,
+            "smoke: FSG canonicalization count regressed \
+             ({} > {CANON_CALLS_CEILING})",
+            fsg.canon_calls
         );
         println!(
-            "smoke: freq={freq} OK — {} patterns, canon calls {} (cert) < {} (legacy), ceiling {}",
-            cert.pats.len(),
-            cert.canon_calls,
-            legacy.canon_calls,
-            DEFAULT_CANON_CALLS_CEILING
+            "smoke: freq={freq} OK — {} patterns, same set as gSpan, FSG canon calls {} \
+             (ceiling {CANON_CALLS_CEILING}), gSpan canon calls {}",
+            fsg.pats.len(),
+            fsg.canon_calls,
+            gsp.canon_calls
         );
         return;
     }
@@ -280,9 +215,10 @@ fn main() {
     let symmetric = symmetric_stress();
 
     let json = format!(
-        "{{\n  \"bench\": \"canon\",\n  \"molecules\": {},\n  \"seed\": {},\n  \"max_patterns_cap\": {},\n  \"runs\": [\n{}\n  ],\n  \"symmetric_stress\": [\n{}\n  ],\n  \"outputs_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"canon\",\n  \"molecules\": {},\n  \"seed\": {},\n  \"cores\": {},\n  \"max_patterns_cap\": {},\n  \"runs\": [\n{}\n  ],\n  \"symmetric_stress\": [\n{}\n  ]\n}}\n",
         data.len(),
         cli.seed,
+        graphsig_graph::resolve_threads(0),
         MAX_PATTERNS,
         runs.join(",\n"),
         symmetric.join(",\n")

@@ -10,7 +10,7 @@ use graphsig_core::{compute_all_vectors, group_by_label, GraphSig, GraphSigConfi
 use graphsig_datagen::{aids_like, motifs, standard_alphabet};
 use graphsig_features::FeatureSet;
 use graphsig_fvmine::{floor_of, is_sub_vector, SignificanceModel};
-use graphsig_graph::{iso::contains, SubgraphMatcher};
+use graphsig_graph::{iso::contains, MultiMatcher};
 
 fn main() {
     let cli = Cli::parse(0.02);
@@ -73,8 +73,9 @@ fn main() {
         .expect("carbon group exists");
     // Collect the vectors of ring atoms across all benzene embeddings.
     let mut ring_vectors: Vec<&Vec<u8>> = Vec::new();
+    let mut ring = MultiMatcher::new(&benzene);
     for (gid, g) in data.db.graphs().iter().enumerate() {
-        if let Some(embedding) = SubgraphMatcher::new(&benzene, g).first_embedding() {
+        if let Some(embedding) = ring.first_embedding(g) {
             for &node in &embedding {
                 if let Some(pos) = carbon
                     .members

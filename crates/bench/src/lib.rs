@@ -145,6 +145,27 @@ pub fn row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
 }
 
+/// Stable fingerprint of a mined pattern list: every code, support and gid
+/// list, in order. Byte-identical across runs iff the output is.
+pub fn fingerprint(pats: &[graphsig_gspan::Pattern]) -> String {
+    use std::fmt::Write as _;
+    let mut s = String::new();
+    for p in pats {
+        let _ = writeln!(s, "{:?} sup={} gids={:?}", p.code, p.support, p.gids);
+    }
+    s
+}
+
+/// [`fingerprint`] of the pattern *set*: lines sorted, so two miners that
+/// emit the same patterns in different orders (FSG level by level, gSpan
+/// depth first) compare equal.
+pub fn set_fingerprint(pats: &[graphsig_gspan::Pattern]) -> String {
+    let s = fingerprint(pats);
+    let mut lines: Vec<&str> = s.lines().collect();
+    lines.sort_unstable();
+    lines.join("\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

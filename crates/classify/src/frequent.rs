@@ -9,7 +9,7 @@
 //! significance-based classifier, reproducing the paper's motivation.
 
 use crate::svm::{Kernel, Svm, SvmConfig};
-use graphsig_graph::{CompiledGraph, Graph, GraphDb, MatcherKind, MultiMatcher};
+use graphsig_graph::{CompiledGraph, Graph, GraphDb, MultiMatcher};
 use graphsig_gspan::{GSpan, MinerConfig, Pattern};
 
 /// Frequent-pattern classifier parameters.
@@ -25,8 +25,6 @@ pub struct FrequentConfig {
     pub top_k: usize,
     /// SVM parameters (linear kernel).
     pub svm: SvmConfig,
-    /// Isomorphism engine for feature containment tests.
-    pub matcher: MatcherKind,
 }
 
 impl Default for FrequentConfig {
@@ -37,7 +35,6 @@ impl Default for FrequentConfig {
             max_candidates: 5_000,
             top_k: 50,
             svm: SvmConfig::default(),
-            matcher: MatcherKind::default(),
         }
     }
 }
@@ -47,7 +44,6 @@ pub struct FrequentPatternClassifier {
     features: Vec<Pattern>,
     svm: Svm,
     train_vectors: Vec<Vec<f64>>,
-    matcher: MatcherKind,
 }
 
 impl FrequentPatternClassifier {
@@ -73,7 +69,7 @@ impl FrequentPatternClassifier {
         let train_vectors: Vec<Vec<f64>> = db
             .graphs()
             .iter()
-            .map(|g| vectorize(g, &patterns, cfg.matcher))
+            .map(|g| vectorize(g, &patterns))
             .collect();
         let y: Vec<f64> = labels.iter().map(|&l| if l { 1.0 } else { -1.0 }).collect();
         let gram = Kernel::Linear.gram(&train_vectors);
@@ -82,7 +78,6 @@ impl FrequentPatternClassifier {
             features: patterns,
             svm,
             train_vectors,
-            matcher: cfg.matcher,
         }
     }
 
@@ -93,7 +88,7 @@ impl FrequentPatternClassifier {
 
     /// Decision value (`> 0` ⇒ positive).
     pub fn score(&self, query: &Graph) -> f64 {
-        let x = vectorize(query, &self.features, self.matcher);
+        let x = vectorize(query, &self.features);
         let k_row: Vec<f64> = self
             .train_vectors
             .iter()
@@ -108,33 +103,21 @@ impl FrequentPatternClassifier {
     }
 }
 
-/// Binary containment feature vector for `g` over `features`. With the
-/// fast engine the target is compiled to bitsets once and shared across
-/// all feature patterns (one compilation per graph, not per test); the
-/// VF2 path matches directly. Shared with the LEAP classifier via
-/// [`vectorize_over`].
-pub(crate) fn vectorize(g: &Graph, features: &[Pattern], matcher: MatcherKind) -> Vec<f64> {
-    vectorize_over(g, features.iter().map(|p| &p.graph), matcher)
+/// Binary containment feature vector for `g` over `features`. The target
+/// is compiled to bitsets once and shared across all feature patterns (one
+/// compilation per graph, not per test). Shared with the LEAP classifier
+/// via [`vectorize_over`].
+pub(crate) fn vectorize(g: &Graph, features: &[Pattern]) -> Vec<f64> {
+    vectorize_over(g, features.iter().map(|p| &p.graph))
 }
 
 /// [`vectorize`] over any sequence of pattern graphs.
-pub(crate) fn vectorize_over<'a>(
-    g: &Graph,
-    patterns: impl Iterator<Item = &'a Graph>,
-    matcher: MatcherKind,
-) -> Vec<f64> {
-    let as_bit = |m: bool| if m { 1.0 } else { 0.0 };
-    match matcher {
-        MatcherKind::Fast => {
-            let compiled = CompiledGraph::compile(g);
-            patterns
-                .map(|p| as_bit(MultiMatcher::with_kind(p, matcher).exists_in_compiled(&compiled)))
-                .collect()
-        }
-        MatcherKind::Vf2 => patterns
-            .map(|p| as_bit(MultiMatcher::with_kind(p, matcher).exists_in(g)))
-            .collect(),
-    }
+pub(crate) fn vectorize_over<'a>(g: &Graph, patterns: impl Iterator<Item = &'a Graph>) -> Vec<f64> {
+    let compiled = CompiledGraph::compile(g);
+    patterns
+        .map(|p| MultiMatcher::new(p).exists_in_compiled(&compiled))
+        .map(|m| if m { 1.0 } else { 0.0 })
+        .collect()
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 
 use crate::frequent::vectorize_over;
 use crate::svm::{Kernel, Svm, SvmConfig};
-use graphsig_graph::{Graph, GraphDb, MatcherKind};
+use graphsig_graph::{Graph, GraphDb};
 use graphsig_gspan::{GSpan, MinerConfig, Pattern};
 
 /// LEAP-style classifier parameters.
@@ -28,8 +28,6 @@ pub struct LeapConfig {
     pub top_k: usize,
     /// SVM parameters (linear kernel).
     pub svm: SvmConfig,
-    /// Isomorphism engine for feature containment tests.
-    pub matcher: MatcherKind,
 }
 
 impl Default for LeapConfig {
@@ -40,7 +38,6 @@ impl Default for LeapConfig {
             max_candidates: 5_000,
             top_k: 50,
             svm: SvmConfig::default(),
-            matcher: MatcherKind::default(),
         }
     }
 }
@@ -68,7 +65,6 @@ pub struct LeapClassifier {
     features: Vec<LeapFeature>,
     svm: Svm,
     train_vectors: Vec<Vec<f64>>,
-    matcher: MatcherKind,
 }
 
 impl LeapClassifier {
@@ -115,7 +111,7 @@ impl LeapClassifier {
         let train_vectors: Vec<Vec<f64>> = db
             .graphs()
             .iter()
-            .map(|g| Self::vectorize_graph(g, &scored, cfg.matcher))
+            .map(|g| Self::vectorize_graph(g, &scored))
             .collect();
         let y: Vec<f64> = labels.iter().map(|&l| if l { 1.0 } else { -1.0 }).collect();
         let gram = Kernel::Linear.gram(&train_vectors);
@@ -124,12 +120,11 @@ impl LeapClassifier {
             features: scored,
             svm,
             train_vectors,
-            matcher: cfg.matcher,
         }
     }
 
-    fn vectorize_graph(g: &Graph, features: &[LeapFeature], matcher: MatcherKind) -> Vec<f64> {
-        vectorize_over(g, features.iter().map(|f| &f.graph), matcher)
+    fn vectorize_graph(g: &Graph, features: &[LeapFeature]) -> Vec<f64> {
+        vectorize_over(g, features.iter().map(|f| &f.graph))
     }
 
     /// The selected pattern features, best leap first.
@@ -139,7 +134,7 @@ impl LeapClassifier {
 
     /// Decision value (`> 0` ⇒ positive).
     pub fn score(&self, query: &Graph) -> f64 {
-        let x = Self::vectorize_graph(query, &self.features, self.matcher);
+        let x = Self::vectorize_graph(query, &self.features);
         let k_row: Vec<f64> = self
             .train_vectors
             .iter()

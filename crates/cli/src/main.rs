@@ -56,15 +56,13 @@ fn print_usage() {
          USAGE:\n\
          \x20 graphsig mine <file> [--max-pvalue P] [--min-freq F] [--radius R]\n\
          \x20                      [--fsm-freq F] [--threads N] [--top N] [--backend fsg|gspan]\n\
-         \x20                      [--matcher vf2|fast] [--timeout-ms MS] [--max-steps N]\n\
-         \x20                      (--matcher picks the isomorphism engine; fast — compiled\n\
-         \x20                       bitset targets — is the default, vf2 the reference)\n\
+         \x20                      [--timeout-ms MS] [--max-steps N]\n\
          \x20                      (--threads 0 = auto: one worker per core; the default)\n\
          \x20                      (--timeout-ms / --max-steps bound the run; a truncated\n\
          \x20                       run exits 0 and reports its completion on stderr)\n\
          \x20 graphsig stats <file>\n\
          \x20 graphsig classify <pos.txt> <neg.txt> <query.txt> [--k K] [--min-freq F]\n\
-         \x20                      [--matcher vf2|fast] [--timeout-ms MS] [--max-steps N]\n\
+         \x20                      [--timeout-ms MS] [--max-steps N]\n\
          \x20 graphsig generate aids <n> [--seed S]\n\
          \x20 graphsig generate screen <NAME> <scale> (names: MCF-7 MOLT-4 NCI-H23 OVCAR-8\n\
          \x20                      P388 PC-3 SF-295 SN12C SW-620 UACC-257 Yeast)\n\
@@ -168,7 +166,7 @@ fn load_db(path: &str) -> Result<GraphDb, String> {
 
 fn cmd_mine(args: &[String]) -> Result<(), String> {
     let (mut max_pvalue, mut min_freq, mut radius, mut fsm_freq) = (None, None, None, None);
-    let (mut threads, mut top, mut backend, mut matcher) = (None, None, None, None);
+    let (mut threads, mut top, mut backend) = (None, None, None);
     let (mut timeout_ms, mut max_steps) = (None, None);
     let positional = take_flags(
         args,
@@ -180,7 +178,6 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
             ("--threads", &mut threads),
             ("--top", &mut top),
             ("--backend", &mut backend),
-            ("--matcher", &mut matcher),
             ("--timeout-ms", &mut timeout_ms),
             ("--max-steps", &mut max_steps),
         ],
@@ -203,7 +200,6 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
             Some("gspan") => graphsig_core::FsmBackend::GSpan,
             Some(other) => return Err(format!("unknown backend {other}")),
         },
-        matcher: parse_or(&matcher, defaults.matcher, "--matcher")?,
         budget: parse_budget(&timeout_ms, &max_steps)?,
         ..defaults
     };
@@ -604,7 +600,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 
 fn cmd_classify(args: &[String]) -> Result<(), String> {
     let (mut k, mut min_freq, mut max_pvalue, mut threads) = (None, None, None, None);
-    let (mut matcher, mut timeout_ms, mut max_steps) = (None, None, None);
+    let (mut timeout_ms, mut max_steps) = (None, None);
     let positional = take_flags(
         args,
         &mut [
@@ -612,7 +608,6 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
             ("--min-freq", &mut min_freq),
             ("--max-pvalue", &mut max_pvalue),
             ("--threads", &mut threads),
-            ("--matcher", &mut matcher),
             ("--timeout-ms", &mut timeout_ms),
             ("--max-steps", &mut max_steps),
         ],
@@ -630,7 +625,6 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
             min_freq: parse_or(&min_freq, 0.05, "--min-freq")?,
             max_pvalue: parse_or(&max_pvalue, defaults.max_pvalue, "--max-pvalue")?,
             threads: parse_or(&threads, defaults.threads, "--threads")?,
-            matcher: parse_or(&matcher, defaults.matcher, "--matcher")?,
             budget: parse_budget(&timeout_ms, &max_steps)?,
             ..defaults
         },
@@ -688,23 +682,6 @@ mod tests {
         assert_eq!(parse_or::<usize>(&None, 7, "x")?, 7);
         assert_eq!(parse_or::<usize>(&Some("3".into()), 7, "x")?, 3);
         assert!(parse_or::<usize>(&Some("zzz".into()), 7, "x").is_err());
-        Ok(())
-    }
-
-    #[test]
-    fn matcher_flag_parses_both_engines() -> Result<(), String> {
-        use graphsig_graph::MatcherKind;
-        let d = GraphSigConfig::default().matcher;
-        assert_eq!(parse_or::<MatcherKind>(&None, d, "--matcher")?, d);
-        assert_eq!(
-            parse_or::<MatcherKind>(&Some("vf2".into()), d, "--matcher")?,
-            MatcherKind::Vf2
-        );
-        assert_eq!(
-            parse_or::<MatcherKind>(&Some("fast".into()), d, "--matcher")?,
-            MatcherKind::Fast
-        );
-        assert!(parse_or::<MatcherKind>(&Some("magic".into()), d, "--matcher").is_err());
         Ok(())
     }
 

@@ -54,6 +54,10 @@ fn mine_dangling_flag_and_unknown_flag() {
     let (_, err, ok) = run(&["mine", "whatever.txt", "--frobnicate", "3"]);
     assert!(!ok);
     assert!(err.contains("unknown flag --frobnicate"), "{err}");
+    // There is one isomorphism engine; its old selector is just unknown.
+    let (_, err, ok) = run(&["mine", "whatever.txt", "--matcher", "fast"]);
+    assert!(!ok);
+    assert!(err.contains("unknown flag --matcher"), "{err}");
 }
 
 #[test]

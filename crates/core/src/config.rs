@@ -68,13 +68,8 @@ pub struct GraphSigConfig {
     /// `RunStats::truncated_sets`) and returns the maximal patterns of
     /// what was enumerated.
     pub max_patterns_per_set: usize,
-    /// Isomorphism engine for every subgraph-containment test in the run
-    /// (FSM support counting and the maximal-pattern post-filter). The
-    /// default `Fast` engine compiles targets to bitset adjacency once per
-    /// index and matches with filtered path-at-a-time search; `Vf2` is the
-    /// reference backtracking engine. Unbudgeted output is identical for
-    /// both; budgeted runs may truncate at different points because step
-    /// counts are engine-specific.
+    /// Carries no choice: there is one isomorphism engine. Kept only
+    /// because the benchmark crate still reads it; removed with that use.
     pub matcher: MatcherKind,
     /// Worker threads for the parallel pipeline phases (RWR pass, FVMine
     /// per label group, CutGraph + maximal FSM per region set). `0` = auto

@@ -593,7 +593,6 @@ impl GraphSig {
                 let mut cfg = FsgConfig::new(support)
                     .with_max_edges(self.cfg.max_pattern_edges)
                     .with_max_patterns(cap)
-                    .with_matcher(self.cfg.matcher)
                     .with_threads(threads);
                 if let Some(b) = self.cfg.budget.as_ref() {
                     cfg = cfg.with_budget(b.clone());
@@ -620,20 +619,16 @@ impl GraphSig {
             Completion::Truncated(reason) if reason != StopReason::PatternCap => Some(reason),
             _ => None,
         };
-        (
-            graphsig_gspan::filter_maximal_with(all, self.cfg.matcher),
-            truncated,
-            stop,
-        )
+        (graphsig_gspan::filter_maximal(all), truncated, stop)
     }
 }
 
 /// Sanity-check helper used by tests and examples: verify with subgraph
 /// isomorphism that `sg` really occurs in every database graph it claims.
 pub fn verify_occurrences(sg: &SignificantSubgraph, db: &GraphDb) -> bool {
-    sg.gids.iter().all(|&gid| {
-        graphsig_graph::SubgraphMatcher::new(&sg.graph, db.graph(gid as usize)).exists()
-    })
+    sg.gids
+        .iter()
+        .all(|&gid| graphsig_graph::iso::contains(db.graph(gid as usize), &sg.graph))
 }
 
 /// Convenience for experiments: the subgraph containing the most edges.
@@ -779,27 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn vf2_and_fast_matchers_mine_identical_subgraphs() {
-        let data = aids_like(200, 50);
-        let actives = data.active_subset();
-        let mine = |kind| {
-            let cfg = GraphSigConfig {
-                matcher: kind,
-                ..test_cfg()
-            };
-            GraphSig::new(cfg).mine(&actives)
-        };
-        let fast = mine(graphsig_graph::MatcherKind::Fast);
-        let vf2 = mine(graphsig_graph::MatcherKind::Vf2);
-        assert!(!fast.subgraphs.is_empty());
-        assert_eq!(fast.subgraphs.len(), vf2.subgraphs.len());
-        for (a, b) in fast.subgraphs.iter().zip(&vf2.subgraphs) {
-            assert_eq!(a.code, b.code);
-            assert_eq!(a.gids, b.gids);
-        }
-    }
-
-    #[test]
     fn empty_database_yields_empty_result() {
         let result = GraphSig::new(test_cfg()).mine(&GraphDb::new());
         assert!(result.subgraphs.is_empty());
@@ -898,8 +872,9 @@ mod budget_tests {
             outcome.result.stats.match_steps > 0,
             "no matcher steps attributed"
         );
-        // The FSM phase runs through the canonical cache: both sides of
-        // the canonicalization split are live on budgeted runs.
+        // The FSM phase canonicalizes emitted patterns and resolves the
+        // rest through certificates: both counters are live on budgeted
+        // runs.
         assert!(
             outcome.result.stats.canon_calls > 0,
             "no canonicalizations attributed"

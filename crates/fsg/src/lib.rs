@@ -11,22 +11,24 @@
 //!    k-edge pattern with one edge (a new pendant vertex, or a cycle-closing
 //!    edge between existing vertices), TID-prefiltered (an extension whose
 //!    edge type does not co-occur with the parent in at least `min_support`
-//!    transactions is dropped before canonicalization), deduplicated by
-//!    canonical code;
+//!    transactions is dropped before any isomorphism work), and grouped
+//!    into isomorphism classes (1-WL certificate buckets, confirmed by
+//!    [`are_isomorphic`]);
 //! 3. candidates whose (k-edge) sub-patterns are not all frequent are pruned
-//!    (the apriori downward-closure check);
+//!    (the apriori downward-closure check, against the previous level's
+//!    certificates);
 //! 4. surviving candidates are support-counted against the TID lists
 //!    inherited from their parents (subgraph isomorphism per transaction),
 //!    with one reusable [`MultiMatcher`] per candidate and an early exit
-//!    once the remaining transactions cannot reach `min_support`.
+//!    once the remaining transactions cannot reach `min_support`; only the
+//!    frequent ones are canonicalized, and they are emitted in code order.
 //!
-//! With `threads > 1` the two expensive stages run on the shared
-//! deterministic executor ([`graphsig_graph::par`]): extension generation
-//! and canonical-code computation are parallel per parent (merged in parent
-//! order — TID intersection is order-insensitive), and pruning plus support
-//! counting are parallel per candidate (merged in the sorted candidate
-//! order, which is the sequential emission order). The mined pattern list
-//! is byte-identical for every thread count.
+//! With `threads > 1` the expensive stages run on the shared deterministic
+//! executor ([`graphsig_graph::par`]): extension generation and
+//! certificates are parallel per parent (merged in parent order — TID
+//! intersection is order-insensitive), and pruning, support counting and
+//! canonicalization are parallel per candidate class (merged in class
+//! order). The mined pattern list is byte-identical for every thread count.
 //!
 //! Deviations from the original implementation, documented in DESIGN.md:
 //! canonical forms use the gSpan minimum DFS code rather than FSG's
@@ -63,13 +65,8 @@ use graphsig_graph::{
 use graphsig_gspan::{min_dfs_code, DfsCode, Pattern};
 
 /// One parent's generated extensions plus the budget stop (if any) hit
-/// while producing them — the per-unit result of the candidate phase
-/// (legacy pipeline: every child canonicalized).
-type ParentExtensions = (Vec<(DfsCode, Graph)>, Option<StopReason>);
-
-/// One parent's generated extensions in the certificate pipeline: each
-/// child carries only its (cheap) certificate; canonicalization is
-/// deferred to emitted survivors.
+/// while producing them: each child carries only its (cheap) certificate;
+/// canonicalization is deferred to emitted survivors.
 type ParentCertExtensions = (Vec<(u64, Graph)>, Option<StopReason>);
 
 /// Configuration for [`Fsg`].
@@ -91,21 +88,6 @@ pub struct FsgConfig {
     /// across thread counts; deadline/cancellation are best-effort. See
     /// [`graphsig_graph::control`].
     pub budget: Option<Budget>,
-    /// Which isomorphism engine backs support counting. The default
-    /// ([`MatcherKind::Fast`]) searches compiled bitset targets cached on
-    /// the [`LabelPairIndex`]; [`MatcherKind::Vf2`] is the reference
-    /// fallback. The mined pattern set is identical either way (step
-    /// *budgeted* runs may truncate differently, since step counts are
-    /// engine-specific).
-    pub matcher: MatcherKind,
-    /// Route candidate dedup and the downward-closure check through
-    /// isomorphism-invariant certificates (the default), canonicalizing
-    /// only the candidates that are actually emitted. `false` keeps the
-    /// canonicalize-everything level pipeline as the differential-testing
-    /// reference. The mined pattern list is byte-identical either way
-    /// (step-*budgeted* runs may truncate differently, since the two
-    /// pipelines meter different work).
-    pub certificates: bool,
 }
 
 impl FsgConfig {
@@ -117,8 +99,6 @@ impl FsgConfig {
             max_patterns: None,
             threads: 1,
             budget: None,
-            matcher: MatcherKind::default(),
-            certificates: true,
         }
     }
 
@@ -147,16 +127,10 @@ impl FsgConfig {
         self
     }
 
-    /// Select the isomorphism engine for support counting.
-    pub fn with_matcher(mut self, matcher: MatcherKind) -> Self {
-        self.matcher = matcher;
-        self
-    }
-
-    /// Enable or disable the certificate-based level pipeline (on by
-    /// default; `false` selects the canonicalize-everything reference).
-    pub fn with_certificates(mut self, certificates: bool) -> Self {
-        self.certificates = certificates;
+    /// Returns `self` unchanged: there is one isomorphism engine. Kept
+    /// only because the benchmark crate still calls it; removed with
+    /// that call.
+    pub fn with_matcher(self, _matcher: MatcherKind) -> Self {
         self
     }
 
@@ -184,12 +158,10 @@ struct CertCandidate {
     tids: Vec<u32>,
 }
 
-/// The per-level context shared by both level pipelines: the database,
-/// compiled match targets, and the frequent-edge universe candidates are
-/// generated against.
+/// The per-level context: the compiled match targets and the
+/// frequent-edge universe candidates are generated against.
 struct LevelCtx<'a> {
-    db: &'a GraphDb,
-    compiled: Option<&'a CompiledDb>,
+    compiled: &'a CompiledDb,
     threads: usize,
     f1_tids: HashMap<(u16, u16, u16), Vec<u32>>,
     edge_labels: Vec<u16>,
@@ -237,10 +209,10 @@ impl Fsg {
     ) -> Outcome<Vec<Pattern>> {
         let threads = resolve_threads(self.cfg.threads);
         let budget = self.cfg.budget.as_ref();
-        // The fast engine counts support against compiled bitset targets;
-        // the compilation is cached on the index, so FSG levels, repeated
+        // Support is counted against compiled bitset targets; the
+        // compilation is cached on the index, so FSG levels, repeated
         // runs, and threshold sweeps over the same index all share it.
-        let compiled = (self.cfg.matcher == MatcherKind::Fast).then(|| index.compiled_db(db));
+        let compiled = index.compiled_db(db);
         let mut out: Vec<Pattern> = Vec::new();
         // First budget truncation observed, in deterministic level /
         // stage / unit order.
@@ -253,7 +225,6 @@ impl Fsg {
         // Entries arrive ascending by canonical key with sorted TID lists —
         // the exact order and content a fresh database scan would produce.
         let mut frontier: Vec<Candidate> = Vec::new();
-        let mut level_codes: HashSet<DfsCode> = HashSet::new();
         let mut f1_tids: HashMap<(u16, u16, u16), Vec<u32>> = HashMap::new();
         // Main-thread meter for level-1 diagnostics (canonicalization
         // counts); notes never consume budget.
@@ -269,12 +240,11 @@ impl Fsg {
             l1_meter.note_canon();
             let code = min_dfs_code(&graph);
             out.push(Pattern {
-                code: code.clone(),
+                code,
                 graph: graph.clone(),
                 support: entry.support(),
                 gids: entry.tids.clone(),
             });
-            level_codes.insert(code);
             frontier.push(Candidate {
                 graph,
                 tids: entry.tids.clone(),
@@ -297,29 +267,19 @@ impl Fsg {
             v
         };
 
-        // ---- Levels 2..: generate, prune, count ---------------------------
-        // Two pipelines share the level structure: the certificate pipeline
-        // (default) dedups candidates and checks downward closure through
-        // isomorphism-invariant certificates, canonicalizing only emitted
-        // survivors; the legacy pipeline canonicalizes every generated
-        // child. Output is byte-identical (see `run_levels_certified`).
+        // ---- Levels 2..: generate, dedup, prune, count ------------------
         let ctx = LevelCtx {
-            db,
-            compiled: compiled.as_deref(),
+            compiled: &compiled,
             threads,
             f1_tids,
             edge_labels: edge_label_universe,
             vertex_labels: vertex_label_universe,
         };
-        let capped = if self.cfg.certificates {
-            // The previous level's certificate set: level-1 patterns are in
-            // the frontier, so derive their certificates directly.
-            let level_certs: HashSet<u64> =
-                frontier.iter().map(|c| certificate(&c.graph).0).collect();
-            self.run_levels_certified(&ctx, frontier, level_certs, &mut out, &mut truncation)
-        } else {
-            self.run_levels_legacy(&ctx, frontier, level_codes, &mut out, &mut truncation)
-        };
+        // The previous level's certificate set: level-1 patterns are in the
+        // frontier, so derive their certificates directly.
+        let level_certs: HashSet<u64> = frontier.iter().map(|c| certificate(&c.graph).0).collect();
+        let capped =
+            self.run_levels_certified(&ctx, frontier, level_certs, &mut out, &mut truncation);
         let mut completion = completion_of(truncation);
         if capped {
             completion = completion.merge(Completion::Truncated(StopReason::PatternCap));
@@ -327,7 +287,8 @@ impl Fsg {
         Outcome::new(out, completion)
     }
 
-    /// Certificate-based levels 2..: the tentpole pipeline.
+    /// Levels 2..: certificates instead of canonical codes until a
+    /// candidate is emitted.
     ///
     /// Per level:
     /// 1. **Generate** (parallel per parent): one-edge extensions, each
@@ -335,19 +296,15 @@ impl Fsg {
     /// 2. **Dedup** (sequential, parent order): children group into exact
     ///    isomorphism classes — certificate lookup narrows to a bucket,
     ///    [`are_isomorphic`] confirms (so certificate collisions are
-    ///    harmless). Equal minimum codes ⟺ isomorphic, so the classes are
-    ///    exactly the legacy pipeline's code-keyed candidate groups, with
-    ///    the same first-generated representative graph and the same TID
-    ///    intersections.
+    ///    harmless). Each class keeps its first-generated graph and the
+    ///    intersection of its parents' TID lists.
     /// 3. **Prune + count** (parallel per class): the downward-closure
     ///    check consults the previous level's *certificate set*
-    ///    ([`subpatterns_all_frequent_certs`]) and support is counted
-    ///    exactly as before.
+    ///    ([`subpatterns_all_frequent_certs`]), then support is counted.
     /// 4. **Canonicalize survivors only** (parallel per survivor), then
-    ///    emit sorted by code — the sorted order in which the legacy
-    ///    pipeline processes (and emits) candidates, so the pattern list,
-    ///    the `max_patterns` truncation point, and the next frontier are
-    ///    byte-identical.
+    ///    emit sorted by code, so the pattern list, the `max_patterns`
+    ///    truncation point, and the next frontier do not depend on
+    ///    generation order or thread count.
     ///
     /// Returns whether the `max_patterns` cap stopped the search.
     fn run_levels_certified(
@@ -400,7 +357,7 @@ impl Fsg {
             // Dedup into isomorphism classes, in deterministic parent /
             // generation order. Certificate buckets keep the exact check
             // to same-bucket representatives; each duplicate resolved here
-            // is one canonicalization the legacy pipeline would have paid.
+            // is one canonicalization saved.
             let mut dedup_meter = Meter::new(budget);
             let mut classes: Vec<CertCandidate> = Vec::new();
             let mut by_cert: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -446,9 +403,7 @@ impl Fsg {
                         return (None, meter.stop_reason());
                     }
                     let gids = count_support(
-                        ctx.db,
                         ctx.compiled,
-                        self.cfg.matcher,
                         &cand.graph,
                         &cand.tids,
                         min_support,
@@ -483,7 +438,7 @@ impl Fsg {
                     (Some(min_dfs_code(&classes[i].graph)), None)
                 });
 
-            // Emit sorted by code — the legacy pipeline's candidate order.
+            // Emit sorted by code.
             let mut emit: Vec<(DfsCode, usize, Vec<u32>)> = survivors
                 .into_iter()
                 .zip(coded)
@@ -523,151 +478,6 @@ impl Fsg {
         false
     }
 
-    /// Legacy levels 2..: canonicalize every generated child, dedup by
-    /// code, check downward closure against the previous level's code set.
-    /// Kept verbatim as the differential-testing and benchmarking
-    /// reference for the certificate pipeline.
-    fn run_levels_legacy(
-        &self,
-        ctx: &LevelCtx<'_>,
-        mut frontier: Vec<Candidate>,
-        mut level_codes: HashSet<DfsCode>,
-        out: &mut Vec<Pattern>,
-        truncation: &mut Option<StopReason>,
-    ) -> bool {
-        let budget = self.cfg.budget.as_ref();
-        let min_support = self.cfg.min_support;
-        let mut level = 1usize;
-        while !frontier.is_empty() {
-            if self.cfg.max_edges.is_some_and(|m| level >= m) {
-                break;
-            }
-            // Once the deadline has passed (or the request was cancelled),
-            // stop before starting another level.
-            if let Some(reason) = control::check_start(budget) {
-                truncation.get_or_insert(reason);
-                break;
-            }
-            level += 1;
-
-            // Generate candidates, deduplicated by canonical code; merge
-            // parent TID lists by intersection. Extension enumeration and
-            // canonical-code computation are independent per parent, so
-            // they run in parallel; merging in parent order reproduces the
-            // sequential scan (intersection is order-insensitive, and the
-            // first parent to produce a code supplies its graph either way).
-            // Each parent is one budget work unit (fresh meter, one step
-            // per extension canonicalized), so step-budget truncation of
-            // the candidate set is deterministic at any thread count.
-            let per_parent: Vec<ParentExtensions> = par_map(ctx.threads, &frontier, |parent| {
-                if let Some(reason) = control::check_start(budget) {
-                    return (Vec::new(), Some(reason));
-                }
-                let mut meter = Meter::new(budget);
-                let mut exts = Vec::new();
-                let children = one_edge_extensions(
-                    &parent.graph,
-                    &parent.tids,
-                    &ctx.f1_tids,
-                    &ctx.edge_labels,
-                    &ctx.vertex_labels,
-                    min_support,
-                );
-                for child in children {
-                    if !meter.tick() {
-                        break;
-                    }
-                    meter.note_canon();
-                    exts.push((min_dfs_code(&child), child));
-                }
-                (exts, meter.stop_reason())
-            });
-            let mut candidates: HashMap<DfsCode, Candidate> = HashMap::new();
-            for (parent, (exts, reason)) in frontier.iter().zip(per_parent) {
-                if truncation.is_none() {
-                    *truncation = reason;
-                }
-                for (code, child) in exts {
-                    match candidates.entry(code) {
-                        std::collections::hash_map::Entry::Occupied(mut o) => {
-                            let tids = intersect_sorted(&o.get().tids, &parent.tids);
-                            o.get_mut().tids = tids;
-                        }
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            v.insert(Candidate {
-                                graph: child,
-                                tids: parent.tids.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-
-            // Apriori pruning + support counting, parallel per candidate in
-            // the sorted (deterministic) order; merging the results in that
-            // same order makes emission — including the `max_patterns`
-            // early return — identical to the sequential loop.
-            let prev_codes = std::mem::take(&mut level_codes);
-            let mut ordered: Vec<(DfsCode, Candidate)> = candidates.into_iter().collect();
-            ordered.sort_by(|a, b| {
-                a.0.edges()
-                    .iter()
-                    .map(dfs_edge_key)
-                    .cmp(b.0.edges().iter().map(dfs_edge_key))
-            });
-            // Each candidate is one budget work unit: the apriori check
-            // and every VF2 support test draw on one fresh meter, and a
-            // candidate whose meter runs dry is conservatively treated as
-            // infrequent (and the run marked truncated).
-            let counted: Vec<(Option<Vec<u32>>, Option<StopReason>)> =
-                par_map(ctx.threads, &ordered, |(_, cand)| {
-                    if let Some(reason) = control::check_start(budget) {
-                        return (None, Some(reason));
-                    }
-                    let mut meter = Meter::new(budget);
-                    if cand.tids.len() < min_support {
-                        return (None, None);
-                    }
-                    if !subpatterns_all_frequent(&cand.graph, &prev_codes, &mut meter) {
-                        return (None, meter.stop_reason());
-                    }
-                    let gids = count_support(
-                        ctx.db,
-                        ctx.compiled,
-                        self.cfg.matcher,
-                        &cand.graph,
-                        &cand.tids,
-                        min_support,
-                        &mut meter,
-                    );
-                    (gids, meter.stop_reason())
-                });
-            let mut next_frontier: Vec<Candidate> = Vec::new();
-            for ((code, cand), (gids, reason)) in ordered.into_iter().zip(counted) {
-                if truncation.is_none() {
-                    *truncation = reason;
-                }
-                let Some(gids) = gids else { continue };
-                out.push(Pattern {
-                    code: code.clone(),
-                    graph: cand.graph.clone(),
-                    support: gids.len(),
-                    gids: gids.clone(),
-                });
-                level_codes.insert(code);
-                next_frontier.push(Candidate {
-                    graph: cand.graph,
-                    tids: gids,
-                });
-                if self.reached_cap(out) {
-                    return true;
-                }
-            }
-            frontier = next_frontier;
-        }
-        false
-    }
-
     /// Mine, then keep only closed patterns.
     pub fn mine_closed(&self, db: &GraphDb) -> Vec<Pattern> {
         graphsig_gspan::filter_closed(self.mine(db))
@@ -684,12 +494,10 @@ impl Fsg {
 }
 
 /// Count `pattern`'s support over the candidate transactions `tids`, using
-/// one reusable matcher per candidate (the pattern-side compilation —
-/// matching order or match plan — happens once, and the scratch buffers
-/// are shared across transactions). When `compiled` is provided (the fast
-/// engine's cached bitset targets) each transaction is matched in compiled
-/// form without re-deriving it. Returns the gids containing the pattern,
-/// or `None` as soon as the matches found so far plus *all* remaining
+/// one reusable matcher per candidate (the match plan is built once, and
+/// the scratch buffers are shared across transactions) against the
+/// database's cached compiled targets. Returns the gids containing the
+/// pattern, or `None` as soon as the matches found so far plus *all* remaining
 /// unchecked transactions cannot reach `min_support` — the remaining-count
 /// cutoff skips the unreachable tail entirely.
 ///
@@ -699,26 +507,20 @@ impl Fsg {
 /// is conservatively reported unsupported and the meter records the
 /// truncation.
 fn count_support(
-    db: &GraphDb,
-    compiled: Option<&CompiledDb>,
-    matcher: MatcherKind,
+    compiled: &CompiledDb,
     pattern: &Graph,
     tids: &[u32],
     min_support: usize,
     meter: &mut Meter<'_>,
 ) -> Option<Vec<u32>> {
-    let mut matcher = MultiMatcher::with_kind(pattern, matcher);
+    let mut matcher = MultiMatcher::new(pattern);
     let mut gids: Vec<u32> = Vec::new();
     for (i, &gid) in tids.iter().enumerate() {
         if gids.len() + (tids.len() - i) < min_support {
             return None;
         }
-        let (outcome, used) = match compiled {
-            Some(c) => {
-                matcher.exists_in_counted_compiled(c.graph(gid as usize), meter.remaining_steps())
-            }
-            None => matcher.exists_in_counted(db.graph(gid as usize), meter.remaining_steps()),
-        };
+        let (outcome, used) = matcher
+            .exists_in_counted_compiled(compiled.graph(gid as usize), meter.remaining_steps());
         let alive = meter.consume_match(used);
         match outcome {
             MatchOutcome::Matched => gids.push(gid),
@@ -859,32 +661,10 @@ fn clone_builder(g: &Graph) -> GraphBuilder {
     b
 }
 
-/// Downward closure: every connected (k-1)-edge subgraph obtained by
-/// deleting one edge must be frequent (present in the previous level).
-/// One meter step per deleted-edge canonicalization; an exhausted meter
-/// conservatively reports "not all frequent" (the candidate is pruned and
-/// the run marked truncated).
-fn subpatterns_all_frequent(g: &Graph, prev: &HashSet<DfsCode>, meter: &mut Meter<'_>) -> bool {
-    for skip in 0..g.edge_count() {
-        if !meter.tick() {
-            return false;
-        }
-        if let Some(sub) = delete_edge(g, skip) {
-            if !sub.is_connected() {
-                continue; // not a pattern; imposes no constraint
-            }
-            meter.note_canon();
-            if !prev.contains(&min_dfs_code(&sub)) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Downward closure against the previous level's *certificate* set — no
-/// canonicalization at all. The check is one-sided and that is exactly
-/// what apriori needs: a certificate absent from `prev` proves the
+/// canonicalization at all: every connected (k-1)-edge subgraph obtained
+/// by deleting one edge must be present. The check is one-sided and that
+/// is exactly what apriori needs: a certificate absent from `prev` proves the
 /// subpattern is not isomorphic to any frequent (k-1)-pattern, so pruning
 /// is sound; a colliding certificate of an *infrequent* subpattern merely
 /// fails to prune, and exact support counting rejects the candidate
@@ -1050,21 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn vf2_and_fast_backends_mine_identical_patterns() {
-        let db = tiny_db();
-        for sup in [1, 2, 3] {
-            let fast = Fsg::new(FsgConfig::new(sup).with_matcher(MatcherKind::Fast)).mine(&db);
-            let vf2 = Fsg::new(FsgConfig::new(sup).with_matcher(MatcherKind::Vf2)).mine(&db);
-            assert_eq!(fast.len(), vf2.len(), "support {sup}");
-            for (a, b) in fast.iter().zip(&vf2) {
-                assert_eq!(a.code, b.code, "support {sup}");
-                assert_eq!(a.support, b.support);
-                assert_eq!(a.gids, b.gids);
-            }
-        }
-    }
-
-    #[test]
     fn budgeted_runs_attribute_match_steps() {
         let db = tiny_db();
         let budget = Budget::unlimited().with_max_steps(1_000_000);
@@ -1075,53 +840,15 @@ mod tests {
     }
 
     #[test]
-    fn certificates_on_and_off_mine_identical_patterns() {
-        let dbs = [
-            tiny_db(),
-            parse_transactions(
-                "t # 0\nv 0 a\nv 1 a\nv 2 a\ne 0 1 x\ne 1 2 x\ne 0 2 x\n\
-                 t # 1\nv 0 a\nv 1 a\nv 2 a\nv 3 b\ne 0 1 x\ne 1 2 x\ne 0 2 x\ne 1 3 y\n",
-            )
-            .unwrap(),
-        ];
-        for db in &dbs {
-            for sup in [1, 2, 3] {
-                let cert = Fsg::new(FsgConfig::new(sup)).mine(db);
-                let legacy = Fsg::new(FsgConfig::new(sup).with_certificates(false)).mine(db);
-                assert_eq!(cert.len(), legacy.len(), "support {sup}");
-                for (a, b) in cert.iter().zip(&legacy) {
-                    assert_eq!(a.code, b.code, "support {sup}");
-                    assert_eq!(a.support, b.support);
-                    assert_eq!(a.gids, b.gids);
-                    assert_eq!(a.graph.node_labels(), b.graph.node_labels());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn certificate_pipeline_canonicalizes_less() {
+        // Certificates dedup candidates and check downward closure, so the
+        // only canonicalizations are one per emitted pattern; duplicate
+        // children and apriori subpatterns are certificate hits.
         let db = tiny_db();
-        let canon_calls = |certs: bool| {
-            let budget = Budget::unlimited();
-            Fsg::new(
-                FsgConfig::new(1)
-                    .with_certificates(certs)
-                    .with_budget(budget.clone()),
-            )
-            .mine_outcome(&db);
-            (budget.canon_calls(), budget.cert_hits())
-        };
-        let (cert_canon, cert_hits) = canon_calls(true);
-        let (legacy_canon, _) = canon_calls(false);
-        // Certificates canonicalize only emitted survivors; the legacy
-        // path canonicalizes every generated child and every apriori
-        // subpattern.
-        assert!(
-            cert_canon < legacy_canon,
-            "cert {cert_canon} vs legacy {legacy_canon}"
-        );
-        assert!(cert_hits > 0);
+        let budget = Budget::unlimited();
+        let pats = Fsg::new(FsgConfig::new(1).with_budget(budget.clone())).mine(&db);
+        assert_eq!(budget.canon_calls(), pats.len() as u64);
+        assert!(budget.cert_hits() > 0);
     }
 
     #[test]
@@ -1161,25 +888,23 @@ mod tests {
     #[test]
     fn count_support_counts_and_thresholds() {
         let db = tiny_db();
+        let compiled = CompiledDb::build(&db);
         let all: Vec<u32> = (0..db.graphs().len() as u32).collect();
         let cc = edge_pattern(&db, "C", "s", "C");
         let mut m = Meter::unbudgeted();
         assert_eq!(
-            count_support(&db, None, MatcherKind::Fast, &cc, &all, 1, &mut m),
+            count_support(&compiled, &cc, &all, 1, &mut m),
             Some(vec![0, 1])
         );
         assert_eq!(
-            count_support(&db, None, MatcherKind::Fast, &cc, &all, 2, &mut m),
+            count_support(&compiled, &cc, &all, 2, &mut m),
             Some(vec![0, 1])
         );
         // Support 2 < 3: below threshold.
-        assert_eq!(
-            count_support(&db, None, MatcherKind::Fast, &cc, &all, 3, &mut m),
-            None
-        );
+        assert_eq!(count_support(&compiled, &cc, &all, 3, &mut m), None);
         let cn = edge_pattern(&db, "C", "s", "N");
         assert_eq!(
-            count_support(&db, None, MatcherKind::Fast, &cn, &all, 1, &mut m),
+            count_support(&compiled, &cn, &all, 1, &mut m),
             Some(vec![2])
         );
     }
@@ -1187,29 +912,25 @@ mod tests {
     #[test]
     fn count_support_early_exit_skips_unreachable_tail() {
         let db = tiny_db();
+        let compiled = CompiledDb::build(&db);
         // C-N occurs only in graph 2. With min_support 2 over TIDs
         // [0, 1, 999]: after misses on 0 and 1 at most one transaction is
         // left, so the cutoff must return before dereferencing the bogus
         // trailing id 999 (which would panic if checked).
         let cn = edge_pattern(&db, "C", "s", "N");
         let mut m = Meter::unbudgeted();
-        assert_eq!(
-            count_support(&db, None, MatcherKind::Fast, &cn, &[0, 1, 999], 2, &mut m),
-            None
-        );
+        assert_eq!(count_support(&compiled, &cn, &[0, 1, 999], 2, &mut m), None);
     }
 
     #[test]
     fn count_support_under_exhausted_meter_is_conservative() {
         let db = tiny_db();
+        let compiled = CompiledDb::build(&db);
         let all: Vec<u32> = (0..db.graphs().len() as u32).collect();
         let cc = edge_pattern(&db, "C", "s", "C");
         let budget = Budget::unlimited().with_max_steps(0);
         let mut m = budget.meter();
-        assert_eq!(
-            count_support(&db, None, MatcherKind::Fast, &cc, &all, 1, &mut m),
-            None
-        );
+        assert_eq!(count_support(&compiled, &cc, &all, 1, &mut m), None);
         assert_eq!(m.stop_reason(), Some(StopReason::StepBudget));
     }
 

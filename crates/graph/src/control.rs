@@ -4,7 +4,7 @@
 //! needs every request bounded. This module is the governance layer the
 //! whole workspace shares: a [`Budget`] carries an optional wall-clock
 //! deadline, an optional cooperative *step* budget, and a [`CancelToken`];
-//! search loops (VF2 match steps, gSpan DFS extensions, FSG candidate
+//! search loops (subgraph-match steps, gSpan DFS extensions, FSG candidate
 //! joins, FVMine branch expansions, RWR iterations) tick a [`Meter`] and
 //! stop cooperatively when the budget is exhausted. Results are reported
 //! as an [`Outcome`] whose [`Completion`] says whether the search ran to
@@ -19,7 +19,7 @@
 //! * **Step budget — deterministic.** `max_steps` is a *per-work-unit
 //!   allowance*, not a globally shared pool: each independent unit of work
 //!   (a gSpan seed subtree, an FSG parent or candidate, an FVMine label
-//!   group, a region set, one graph's RWR pass, one VF2 match) gets a
+//!   group, a region set, one graph's RWR pass, one subgraph match) gets a
 //!   fresh [`Meter`] counting from zero. Whether a unit exhausts its
 //!   allowance is a property of the unit alone — independent of thread
 //!   count and scheduling — so truncated results are byte-identical across
@@ -374,9 +374,9 @@ impl<'b> Meter<'b> {
         self.consume(1)
     }
 
-    /// Record `n` search steps at once (e.g. a bounded VF2 match reports
-    /// how many candidate trials it used). Returns `false` when the work
-    /// unit must stop; the decision is sticky.
+    /// Record `n` search steps at once (e.g. a bounded subgraph match
+    /// reports how many candidate trials it used). Returns `false` when the
+    /// work unit must stop; the decision is sticky.
     #[inline]
     pub fn consume(&mut self, n: u64) -> bool {
         let Some(budget) = self.budget else {
@@ -438,7 +438,7 @@ impl<'b> Meter<'b> {
     }
 
     /// Steps left in this unit's allowance (`u64::MAX` when unlimited).
-    /// Used to hand a sub-search (one VF2 match) a hard cap.
+    /// Used to hand a sub-search (one subgraph match) a hard cap.
     pub fn remaining_steps(&self) -> u64 {
         match self.budget.and_then(|b| b.max_steps) {
             Some(limit) if self.stop.is_none() => limit.saturating_sub(self.local),

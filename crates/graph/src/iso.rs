@@ -1,4 +1,4 @@
-//! Subgraph isomorphism (VF2-style backtracking with label pruning).
+//! Subgraph isomorphism: one compiled bitset engine.
 //!
 //! Frequent-subgraph semantics in gSpan/FSG — and hence in GraphSig's
 //! `MaximalFSM` step — are *subgraph monomorphism*: an injective mapping of
@@ -8,70 +8,31 @@
 //! classifier baselines' pattern features, and for pruning non-maximal
 //! patterns.
 //!
-//! The matcher orders pattern nodes so that each node after the first is
-//! adjacent to an already-matched node, restricting candidates to neighbors
-//! of already-matched images — the core VF2 idea — with degree and label
-//! look-ahead pruning.
+//! Every containment and whole-graph isomorphism test in the workspace runs
+//! the same engine, [`MultiMatcher`]: the pattern is compiled once into a
+//! connected path-at-a-time match plan, the target into label-bucketed
+//! bitsets ([`CompiledGraph`]), and the search pops candidates from frames
+//! built by intersecting those bitsets, so a candidate that is popped
+//! already satisfies every label and back-edge constraint.
 
 use crate::compiled::CompiledGraph;
 use crate::graph::{Graph, NodeId};
 use crate::labels::{EdgeLabel, NodeLabel};
-use std::fmt;
 
-/// Which matching engine a [`MultiMatcher`] uses.
+/// The isomorphism engine behind [`MultiMatcher`]. There is one.
 ///
-/// Both engines implement the same subgraph-monomorphism semantics and the
-/// same [`MatchOutcome`] contract under step budgets; they differ in how the
-/// search is executed and therefore in how many steps a given search costs.
-/// `Fast` is the default; `Vf2` is kept as the reference fallback and for
-/// agreement testing (`--matcher vf2`).
+/// Compatibility name only: the benchmark crate still names
+/// `MatcherKind::default()` and the `matcher` config fields of that type.
+/// It carries no choice and is removed with those uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatcherKind {
-    /// The original VF2-style engine: vertex-at-a-time, candidates from the
-    /// anchor's adjacency list, per-candidate label/degree/back-edge checks.
-    Vf2,
-    /// The compiled engine: path-at-a-time matching order over
-    /// [`CompiledGraph`] bitset targets, candidate sets propagated by
-    /// bitset intersection.
+    /// The compiled bitset engine.
     #[default]
     Fast,
 }
 
-impl MatcherKind {
-    /// Parse a CLI/protocol name (`"vf2"` or `"fast"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "vf2" => Some(MatcherKind::Vf2),
-            "fast" => Some(MatcherKind::Fast),
-            _ => None,
-        }
-    }
-
-    /// The CLI/protocol name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MatcherKind::Vf2 => "vf2",
-            MatcherKind::Fast => "fast",
-        }
-    }
-}
-
-impl fmt::Display for MatcherKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for MatcherKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s).ok_or_else(|| format!("unknown matcher '{s}' (expected vf2 or fast)"))
-    }
-}
-
-/// Result of a *bounded* isomorphism search ([`SubgraphMatcher::exists_within`],
-/// [`MultiMatcher::exists_in_counted`]).
+/// Result of a *bounded* isomorphism search
+/// ([`MultiMatcher::exists_in_counted`]).
 ///
 /// Dense pathological pairs — e.g. label-uniform cliques — can make the
 /// backtracking search take exponentially long. Bounded searches charge one
@@ -97,187 +58,13 @@ impl MatchOutcome {
     }
 }
 
-/// Per-search step counter for bounded searches: one unit per candidate
-/// trial. `u64::MAX` means effectively unbounded (the unbudgeted paths use
-/// it, making governance-off searches behave exactly as before).
-struct StepGauge {
-    remaining: u64,
-    exhausted: bool,
-}
-
-impl StepGauge {
-    fn new(limit: u64) -> Self {
-        Self {
-            remaining: limit,
-            exhausted: false,
-        }
-    }
-
-    #[inline]
-    fn consume(&mut self) -> bool {
-        if self.remaining == 0 {
-            self.exhausted = true;
-            return false;
-        }
-        self.remaining -= 1;
-        true
-    }
-}
-
-/// A reusable pattern-against-target matcher.
+/// One pattern matched against many targets.
 ///
-/// # Example
-///
-/// ```
-/// use graphsig_graph::{GraphBuilder, SubgraphMatcher};
-/// // Target: triangle of label-0 nodes; pattern: single edge.
-/// let mut b = GraphBuilder::new();
-/// let n: Vec<_> = (0..3).map(|_| b.add_node(0)).collect();
-/// b.add_edge(n[0], n[1], 7);
-/// b.add_edge(n[1], n[2], 7);
-/// b.add_edge(n[0], n[2], 7);
-/// let target = b.build();
-/// let mut b = GraphBuilder::new();
-/// let u = b.add_node(0);
-/// let v = b.add_node(0);
-/// b.add_edge(u, v, 7);
-/// let pattern = b.build();
-/// let m = SubgraphMatcher::new(&pattern, &target);
-/// assert!(m.exists());
-/// assert_eq!(m.count_embeddings(usize::MAX), 6); // 3 edges x 2 directions
-/// ```
-pub struct SubgraphMatcher<'a> {
-    pattern: &'a Graph,
-    target: &'a Graph,
-    /// Pattern nodes in matching order; every node after position 0 of its
-    /// connected component has at least one earlier neighbor.
-    order: Vec<NodeId>,
-    /// `anchor[i]`: index `< i` in `order` of an already-matched neighbor of
-    /// `order[i]`, or `None` for component roots.
-    anchor: Vec<Option<usize>>,
-}
-
-impl<'a> SubgraphMatcher<'a> {
-    /// Prepare a matcher for `pattern` against `target`.
-    pub fn new(pattern: &'a Graph, target: &'a Graph) -> Self {
-        let (order, anchor) = matching_order(pattern);
-        Self {
-            pattern,
-            target,
-            order,
-            anchor,
-        }
-    }
-
-    /// Whether at least one embedding exists.
-    pub fn exists(&self) -> bool {
-        let mut found = false;
-        self.search(&mut |_| {
-            found = true;
-            false // stop
-        });
-        found
-    }
-
-    /// Count embeddings (distinct injective node maps), stopping early once
-    /// `limit` is reached.
-    pub fn count_embeddings(&self, limit: usize) -> usize {
-        let mut count = 0usize;
-        self.search(&mut |_| {
-            count += 1;
-            count < limit
-        });
-        count
-    }
-
-    /// The first embedding found, as `map[pattern_node] = target_node`.
-    pub fn first_embedding(&self) -> Option<Vec<NodeId>> {
-        let mut result = None;
-        self.search(&mut |m| {
-            result = Some(m.to_vec());
-            false
-        });
-        result
-    }
-
-    /// Visit every embedding; the callback returns `false` to stop the
-    /// enumeration. The slice is `map[pattern_node] = target_node`.
-    pub fn for_each_embedding(&self, f: &mut dyn FnMut(&[NodeId]) -> bool) {
-        self.search(f);
-    }
-
-    /// Collect the set of target nodes that node `p` of the pattern can map
-    /// to across all embeddings. Used by GraphSig to locate "regions of
-    /// interest" for a pattern.
-    pub fn images_of(&self, p: NodeId) -> Vec<NodeId> {
-        let mut seen = vec![false; self.target.node_count()];
-        self.search(&mut |m| {
-            seen[m[p as usize] as usize] = true;
-            true
-        });
-        seen.iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(i, _)| i as NodeId)
-            .collect()
-    }
-
-    /// Bounded existence test: at most `max_steps` candidate trials, then
-    /// [`MatchOutcome::Indeterminate`]. Guards against dense pathological
-    /// pairs (label-uniform cliques) where the backtracking search is
-    /// exponential.
-    pub fn exists_within(&self, max_steps: u64) -> MatchOutcome {
-        let mut found = false;
-        let exhausted = self.search_bounded(max_steps, &mut |_| {
-            found = true;
-            false // stop
-        });
-        if found {
-            MatchOutcome::Matched
-        } else if exhausted {
-            MatchOutcome::Indeterminate
-        } else {
-            MatchOutcome::Unmatched
-        }
-    }
-
-    fn search(&self, visit: &mut dyn FnMut(&[NodeId]) -> bool) {
-        self.search_bounded(u64::MAX, visit);
-    }
-
-    /// Run the search with a step cap; returns whether the cap was hit.
-    fn search_bounded(&self, max_steps: u64, visit: &mut dyn FnMut(&[NodeId]) -> bool) -> bool {
-        let pn = self.pattern.node_count();
-        if pn == 0 {
-            visit(&[]);
-            return false;
-        }
-        if pn > self.target.node_count() || self.pattern.edge_count() > self.target.edge_count() {
-            return false;
-        }
-        let mut map = vec![u32::MAX; pn];
-        let mut used = vec![false; self.target.node_count()];
-        let ctx = SearchCtx {
-            pattern: self.pattern,
-            target: self.target,
-            order: &self.order,
-            anchor: &self.anchor,
-        };
-        let mut steps = StepGauge::new(max_steps);
-        ctx.extend(0, &mut map, &mut used, &mut steps, visit);
-        steps.exhausted
-    }
-}
-
-/// One pattern matched against many targets, reusing the matching order and
-/// the backtracking scratch buffers across calls.
-///
-/// [`SubgraphMatcher`] recomputes the pattern's matching order and
-/// reallocates its `map`/`used` buffers per `(pattern, target)` pair; in
-/// support-counting loops (one candidate against every TID-list graph) that
-/// allocation dominates. `MultiMatcher` computes the order once per pattern
-/// and keeps the buffers warm — the backtracking search restores them to
-/// their cleared state on exit, so consecutive calls need no reset.
+/// The pattern is compiled into its match plan once, at construction, and
+/// the search buffers (plus a compiled-target scratch for plain [`Graph`]
+/// targets) are kept warm across calls, so support-counting loops — one
+/// candidate against every TID-list graph — pay no per-target setup beyond
+/// compiling the target.
 ///
 /// # Example
 ///
@@ -299,52 +86,21 @@ impl<'a> SubgraphMatcher<'a> {
 /// ```
 pub struct MultiMatcher<'p> {
     pattern: &'p Graph,
-    kind: MatcherKind,
-    // VF2 engine state (built only for `MatcherKind::Vf2`).
-    order: Vec<NodeId>,
-    anchor: Vec<Option<usize>>,
-    map: Vec<NodeId>,
-    used: Vec<bool>,
-    // Fast engine state (built only for `MatcherKind::Fast`).
     plan: MatchPlan,
     compiled: CompiledGraph,
-    fast: FastScratch,
+    scratch: Scratch,
 }
 
 impl<'p> MultiMatcher<'p> {
-    /// Prepare a matcher with the default engine ([`MatcherKind::Fast`]).
+    /// Prepare a matcher for `pattern`; the match plan is built here and
+    /// reused across all targets.
     pub fn new(pattern: &'p Graph) -> Self {
-        Self::with_kind(pattern, MatcherKind::default())
-    }
-
-    /// Prepare a matcher with an explicit engine. The pattern-side
-    /// compilation (matching order for VF2, match plan for the fast
-    /// engine) happens once here and is reused across all targets.
-    pub fn with_kind(pattern: &'p Graph, kind: MatcherKind) -> Self {
-        let (order, anchor, map, plan) = match kind {
-            MatcherKind::Vf2 => {
-                let (order, anchor) = matching_order(pattern);
-                let map = vec![u32::MAX; pattern.node_count()];
-                (order, anchor, map, MatchPlan::default())
-            }
-            MatcherKind::Fast => (Vec::new(), Vec::new(), Vec::new(), MatchPlan::new(pattern)),
-        };
         Self {
             pattern,
-            kind,
-            order,
-            anchor,
-            map,
-            used: Vec::new(),
-            plan,
+            plan: MatchPlan::new(pattern),
             compiled: CompiledGraph::default(),
-            fast: FastScratch::default(),
+            scratch: Scratch::default(),
         }
-    }
-
-    /// The engine this matcher runs.
-    pub fn kind(&self) -> MatcherKind {
-        self.kind
     }
 
     /// Whether the pattern occurs in `target` (subgraph monomorphism).
@@ -358,31 +114,22 @@ impl<'p> MultiMatcher<'p> {
     /// loops can charge the cost of each match against their
     /// [`crate::control::Meter`].
     ///
-    /// Step counts are engine-specific: VF2 charges one step per candidate
-    /// trial drawn from adjacency lists, the fast engine one step per
-    /// candidate popped from its *filtered* bitsets (fewer trials for the
-    /// same search is the point of the engine). Both are deterministic for
-    /// a given `(pattern, target, max_steps)`, and both preserve the
-    /// trivial-case contract: empty pattern `(Matched, 0)`, size
-    /// fast-reject `(Unmatched, 0)`.
+    /// One step is charged per candidate popped from a *filtered* frame;
+    /// an empty frame costs nothing. Counts are deterministic for a given
+    /// `(pattern, target, max_steps)`, and the trivial cases cost zero:
+    /// empty pattern `(Matched, 0)`, pattern larger than the target
+    /// `(Unmatched, 0)`.
     pub fn exists_in_counted(&mut self, target: &Graph, max_steps: u64) -> (MatchOutcome, u64) {
-        match self.kind {
-            MatcherKind::Vf2 => self.vf2_exists_in_counted(target, max_steps),
-            MatcherKind::Fast => {
-                if let Some(trivial) =
-                    trivial_outcome(self.pattern, target.node_count(), target.edge_count())
-                {
-                    return trivial;
-                }
-                self.compiled.compile_from(target);
-                fast_search(&self.plan, &self.compiled, &mut self.fast, max_steps)
-            }
+        if let Some(trivial) =
+            trivial_outcome(self.pattern, target.node_count(), target.edge_count())
+        {
+            return trivial;
         }
+        self.compiled.compile_from(target);
+        search(&self.plan, &self.compiled, &mut self.scratch, max_steps)
     }
 
     /// Whether the pattern occurs in the pre-compiled `target`.
-    ///
-    /// Only valid on fast matchers — see [`Self::exists_in_counted_compiled`].
     pub fn exists_in_compiled(&mut self, target: &CompiledGraph) -> bool {
         self.exists_in_counted_compiled(target, u64::MAX)
             .0
@@ -391,66 +138,39 @@ impl<'p> MultiMatcher<'p> {
 
     /// [`Self::exists_in_counted`] against a pre-compiled target, skipping
     /// the per-call compilation. This is the hot path for support counting
-    /// over a [`crate::compiled::CompiledDb`].
-    ///
-    /// # Panics
-    /// Panics if the matcher was built with [`MatcherKind::Vf2`]; compiled
-    /// targets carry no adjacency lists for the VF2 engine to walk, so
-    /// callers holding compiled targets must construct a fast matcher.
+    /// over a [`crate::compiled::CompiledDb`]; it spends exactly the steps
+    /// the plain-target call spends.
     pub fn exists_in_counted_compiled(
         &mut self,
         target: &CompiledGraph,
         max_steps: u64,
     ) -> (MatchOutcome, u64) {
-        assert_eq!(
-            self.kind,
-            MatcherKind::Fast,
-            "compiled targets require MatcherKind::Fast"
-        );
         if let Some(trivial) =
             trivial_outcome(self.pattern, target.node_count(), target.edge_count())
         {
             return trivial;
         }
-        fast_search(&self.plan, target, &mut self.fast, max_steps)
+        search(&self.plan, target, &mut self.scratch, max_steps)
     }
 
-    fn vf2_exists_in_counted(&mut self, target: &Graph, max_steps: u64) -> (MatchOutcome, u64) {
-        if let Some(trivial) =
-            trivial_outcome(self.pattern, target.node_count(), target.edge_count())
-        {
-            return trivial;
+    /// The first embedding the search finds in `target`, indexed by
+    /// pattern node (`map[pattern_node] = target_node`), or `None` when
+    /// the pattern does not occur.
+    pub fn first_embedding(&mut self, target: &Graph) -> Option<Vec<NodeId>> {
+        if !self.exists_in(target) {
+            return None;
         }
-        if self.used.len() < target.node_count() {
-            self.used.resize(target.node_count(), false);
+        let mut map = vec![0; self.plan.len()];
+        for (pos, &p) in self.plan.order.iter().enumerate() {
+            map[p as usize] = self.scratch.map[pos];
         }
-        let ctx = SearchCtx {
-            pattern: self.pattern,
-            target,
-            order: &self.order,
-            anchor: &self.anchor,
-        };
-        let mut found = false;
-        let mut steps = StepGauge::new(max_steps);
-        ctx.extend(0, &mut self.map, &mut self.used, &mut steps, &mut |_| {
-            found = true;
-            false // stop at the first embedding
-        });
-        let used = max_steps - steps.remaining;
-        let outcome = if found {
-            MatchOutcome::Matched
-        } else if steps.exhausted {
-            MatchOutcome::Indeterminate
-        } else {
-            MatchOutcome::Unmatched
-        };
-        (outcome, used)
+        Some(map)
     }
 }
 
-/// The zero-cost early decisions both engines share: an empty pattern
-/// matches anything, and a pattern larger than the target (nodes or edges)
-/// matches nothing. Returns `None` when a real search is needed.
+/// The zero-cost early decisions: an empty pattern matches anything, and a
+/// pattern larger than the target (nodes or edges) matches nothing.
+/// Returns `None` when a real search is needed.
 fn trivial_outcome(
     pattern: &Graph,
     target_nodes: usize,
@@ -466,10 +186,10 @@ fn trivial_outcome(
     None
 }
 
-/// Pattern-side compilation for the fast engine: a connected
-/// path-at-a-time matching order plus, per position, everything the inner
-/// loop needs — the node label (candidate bucket), a degree lower bound,
-/// and *all* back edges to earlier positions (bitset intersection masks).
+/// Pattern-side compilation: a connected path-at-a-time matching order
+/// plus, per position, everything the inner loop needs — the node label
+/// (candidate bucket), a degree lower bound, and *all* back edges to
+/// earlier positions (bitset intersection masks).
 ///
 /// Order heuristic: each component is rooted at its highest-degree node;
 /// growth extends from the most recently placed node that still has an
@@ -479,6 +199,8 @@ fn trivial_outcome(
 /// step counts — are deterministic.
 #[derive(Debug, Clone, Default)]
 struct MatchPlan {
+    /// Pattern node per position.
+    order: Vec<NodeId>,
     /// Node label per position (selects the target's candidate bucket).
     labels: Vec<NodeLabel>,
     /// Pattern degree per position (candidate lower bound).
@@ -551,6 +273,7 @@ impl MatchPlan {
             })
             .collect();
         Self {
+            order,
             labels,
             degrees,
             back,
@@ -562,12 +285,12 @@ impl MatchPlan {
     }
 }
 
-/// Reusable buffers for the fast engine's backtracking loop: one candidate
+/// Reusable buffers for the backtracking loop: one candidate
 /// bitset frame per plan position, the used-node bitset, and the partial
 /// map (target node per position). All are resized per target and fully
 /// rewritten per search, so no cross-call reset is needed.
 #[derive(Debug, Clone, Default)]
-struct FastScratch {
+struct Scratch {
     frames: Vec<u64>,
     used: Vec<u64>,
     map: Vec<NodeId>,
@@ -625,15 +348,14 @@ fn build_frame(
     }
 }
 
-/// The fast engine's search loop: pop candidates from filtered bitset
-/// frames, descending a position on success and backtracking when a frame
-/// runs dry. Charges one step per popped candidate — an empty frame costs
-/// nothing — and reports `(outcome, steps used)` under the same contract
-/// as the VF2 path.
-fn fast_search(
+/// The search loop: pop candidates from filtered bitset frames, descending
+/// a position on success and backtracking when a frame runs dry. Charges
+/// one step per popped candidate — an empty frame costs nothing — and
+/// reports `(outcome, steps used)`.
+fn search(
     plan: &MatchPlan,
     target: &CompiledGraph,
-    scratch: &mut FastScratch,
+    scratch: &mut Scratch,
     max_steps: u64,
 ) -> (MatchOutcome, u64) {
     let n = plan.len();
@@ -644,17 +366,18 @@ fn fast_search(
     scratch.used.resize(words, 0);
     scratch.map.clear();
     scratch.map.resize(n, u32::MAX);
-    let FastScratch { frames, used, map } = scratch;
+    let Scratch { frames, used, map } = scratch;
 
-    let mut steps = StepGauge::new(max_steps);
+    let mut remaining = max_steps;
     let mut depth = 0usize;
     build_frame(plan, target, frames, used, map, 0);
     let outcome = loop {
         match pop_lowest(&mut frames[depth * words..(depth + 1) * words]) {
             Some(v) => {
-                if !steps.consume() {
+                if remaining == 0 {
                     break MatchOutcome::Indeterminate;
                 }
+                remaining -= 1;
                 if target.degree(v) < plan.degrees[depth] {
                     continue;
                 }
@@ -676,155 +399,12 @@ fn fast_search(
             }
         }
     };
-    (outcome, max_steps - steps.remaining)
-}
-
-/// The backtracking search shared by [`SubgraphMatcher`] and
-/// [`MultiMatcher`]: pattern, target, and the precomputed matching order.
-struct SearchCtx<'a> {
-    pattern: &'a Graph,
-    target: &'a Graph,
-    order: &'a [NodeId],
-    anchor: &'a [Option<usize>],
-}
-
-impl SearchCtx<'_> {
-    /// Depth-first extension; returns `false` when enumeration should stop
-    /// (the visitor declined to continue, or the step gauge ran dry).
-    /// `map` and `used` are restored to their entry state before returning.
-    fn extend(
-        &self,
-        depth: usize,
-        map: &mut [NodeId],
-        used: &mut [bool],
-        steps: &mut StepGauge,
-        visit: &mut dyn FnMut(&[NodeId]) -> bool,
-    ) -> bool {
-        if depth == self.order.len() {
-            return visit(map);
-        }
-        let p = self.order[depth];
-        let p_label = self.pattern.node_label(p);
-        let p_deg = self.pattern.degree(p);
-
-        // Candidates: neighbors of the anchor's image, or all target nodes
-        // for a component root. Each candidate trial costs one step.
-        let try_candidate = |cand: NodeId,
-                             map: &mut [NodeId],
-                             used: &mut [bool],
-                             steps: &mut StepGauge,
-                             visit: &mut dyn FnMut(&[NodeId]) -> bool,
-                             this: &Self|
-         -> bool {
-            if !steps.consume() {
-                return false; // step cap hit: abandon the whole search
-            }
-            if used[cand as usize]
-                || this.target.node_label(cand) != p_label
-                || this.target.degree(cand) < p_deg
-            {
-                return true; // infeasible, keep enumerating
-            }
-            // Every pattern edge from p to an already-matched node must map
-            // to a target edge with the same label.
-            for a in this.pattern.neighbors(p) {
-                let img = map[a.to as usize];
-                if img == u32::MAX {
-                    continue;
-                }
-                match this.target.edge_label_between(cand, img) {
-                    Some(l) if l == a.label => {}
-                    _ => return true,
-                }
-            }
-            map[p as usize] = cand;
-            used[cand as usize] = true;
-            let keep_going = this.extend(depth + 1, map, used, steps, visit);
-            used[cand as usize] = false;
-            map[p as usize] = u32::MAX;
-            keep_going
-        };
-
-        match self.anchor[depth] {
-            Some(anchor_idx) => {
-                let anchor_img = map[self.order[anchor_idx] as usize];
-                debug_assert_ne!(anchor_img, u32::MAX);
-                for a in self.target.neighbors(anchor_img) {
-                    if !try_candidate(a.to, map, used, steps, visit, self) {
-                        return false;
-                    }
-                }
-            }
-            None => {
-                for cand in 0..self.target.node_count() as NodeId {
-                    if !try_candidate(cand, map, used, steps, visit, self) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-}
-
-/// Compute a connected matching order and per-node anchors.
-fn matching_order(pattern: &Graph) -> (Vec<NodeId>, Vec<Option<usize>>) {
-    let n = pattern.node_count();
-    let mut order = Vec::with_capacity(n);
-    let mut anchor = Vec::with_capacity(n);
-    let mut placed = vec![false; n];
-    let mut pos_in_order = vec![usize::MAX; n];
-
-    while order.len() < n {
-        // Component root: highest-degree unplaced node (most constrained
-        // first shrinks the branching factor).
-        let root = (0..n as NodeId)
-            .filter(|&i| !placed[i as usize])
-            .max_by_key(|&i| pattern.degree(i))
-            .expect("unplaced node must exist");
-        placed[root as usize] = true;
-        pos_in_order[root as usize] = order.len();
-        order.push(root);
-        anchor.push(None);
-        // Grow the component greedily: repeatedly pick the unplaced node
-        // with the most placed neighbors (ties by degree).
-        loop {
-            let mut best: Option<(NodeId, usize, usize)> = None;
-            for v in 0..n as NodeId {
-                if placed[v as usize] {
-                    continue;
-                }
-                let matched_nbrs = pattern
-                    .neighbors(v)
-                    .iter()
-                    .filter(|a| placed[a.to as usize])
-                    .count();
-                if matched_nbrs == 0 {
-                    continue;
-                }
-                let key = (v, matched_nbrs, pattern.degree(v));
-                if best.is_none_or(|(_, m, d)| (matched_nbrs, pattern.degree(v)) > (m, d)) {
-                    best = Some(key);
-                }
-            }
-            let Some((v, _, _)) = best else { break };
-            placed[v as usize] = true;
-            let anchor_node = pattern
-                .neighbors(v)
-                .iter()
-                .find(|a| placed[a.to as usize] && pos_in_order[a.to as usize] != usize::MAX)
-                .map(|a| pos_in_order[a.to as usize]);
-            pos_in_order[v as usize] = order.len();
-            order.push(v);
-            anchor.push(anchor_node);
-        }
-    }
-    (order, anchor)
+    (outcome, max_steps - remaining)
 }
 
 /// Whether `pattern` occurs in `target` (subgraph monomorphism).
 pub fn contains(target: &Graph, pattern: &Graph) -> bool {
-    SubgraphMatcher::new(pattern, target).exists()
+    MultiMatcher::new(pattern).exists_in(target)
 }
 
 /// Whole-graph isomorphism test.
@@ -903,20 +483,11 @@ mod tests {
     }
 
     #[test]
-    fn count_automorphic_embeddings() {
-        // Unlabeled (same-label) triangle inside itself: 3! = 6 embeddings.
-        let t = cycle(&[0, 0, 0], 9);
-        assert_eq!(SubgraphMatcher::new(&t, &t).count_embeddings(usize::MAX), 6);
-        // Limit short-circuits.
-        assert_eq!(SubgraphMatcher::new(&t, &t).count_embeddings(2), 2);
-    }
-
-    #[test]
     fn empty_pattern_always_matches() {
         let t = cycle(&[0, 0, 0], 9);
         let empty = GraphBuilder::new().build();
         assert!(contains(&t, &empty));
-        assert_eq!(SubgraphMatcher::new(&empty, &t).count_embeddings(10), 1);
+        assert_eq!(MultiMatcher::new(&empty).first_embedding(&t), Some(vec![]));
     }
 
     #[test]
@@ -930,22 +501,34 @@ mod tests {
     fn first_embedding_is_consistent() {
         let target = labeled_path(&[3, 4, 5, 4, 3], &[1, 1, 1, 1]);
         let pattern = labeled_path(&[4, 5], &[1]);
-        let m = SubgraphMatcher::new(&pattern, &target);
-        let emb = m.first_embedding().unwrap();
+        let mut m = MultiMatcher::new(&pattern);
+        let emb = m.first_embedding(&target).unwrap();
         assert_eq!(emb.len(), 2);
         assert_eq!(target.node_label(emb[0]), 4);
         assert_eq!(target.node_label(emb[1]), 5);
         assert!(target.edge_label_between(emb[0], emb[1]) == Some(1));
-    }
-
-    #[test]
-    fn images_of_pattern_node() {
-        let target = labeled_path(&[3, 4, 5, 4, 3], &[1, 1, 1, 1]);
-        let pattern = edge_graph(4, 1, 5);
-        let m = SubgraphMatcher::new(&pattern, &target);
-        // Node 0 of the pattern (label 4) can land on target nodes 1 and 3.
-        assert_eq!(m.images_of(0), vec![1, 3]);
-        assert_eq!(m.images_of(1), vec![2]);
+        // Indexed by pattern node even when the plan visits node 1 first:
+        // the root is the highest-degree node of a star.
+        let mut b = GraphBuilder::new();
+        let leaf = b.add_node(3);
+        let hub = b.add_node(4);
+        let other = b.add_node(5);
+        b.add_edge(leaf, hub, 1);
+        b.add_edge(hub, other, 1);
+        let star = b.build();
+        let emb = MultiMatcher::new(&star).first_embedding(&target).unwrap();
+        assert_eq!(
+            emb.iter()
+                .map(|&v| target.node_label(v))
+                .collect::<Vec<_>>(),
+            vec![3, 4, 5]
+        );
+        assert_eq!(target.edge_label_between(emb[0], emb[1]), Some(1));
+        assert_eq!(target.edge_label_between(emb[1], emb[2]), Some(1));
+        assert_eq!(
+            MultiMatcher::new(&cycle(&[4, 5, 4], 1)).first_embedding(&target),
+            None
+        );
     }
 
     #[test]
@@ -964,7 +547,8 @@ mod tests {
         let two = b.build();
         assert!(!contains(&one, &pattern));
         assert!(contains(&two, &pattern));
-        assert_eq!(SubgraphMatcher::new(&pattern, &two).count_embeddings(10), 2);
+        let emb = MultiMatcher::new(&pattern).first_embedding(&two).unwrap();
+        assert_ne!(emb[0], emb[1]);
     }
 
     #[test]
@@ -1005,6 +589,9 @@ mod tests {
 
     #[test]
     fn multi_matcher_agrees_with_subgraph_matcher() {
+        // One matcher reused across targets of varying size agrees with a
+        // fresh one-shot `contains` per pair, and keeps agreeing once its
+        // buffers have been through every target.
         let targets = [
             labeled_path(&[0, 1, 2], &[5, 6]),
             cycle(&[0, 1, 2], 5),
@@ -1020,34 +607,23 @@ mod tests {
             cycle(&[0, 0, 0], 9),
             GraphBuilder::new().build(),
         ];
-        for kind in [MatcherKind::Vf2, MatcherKind::Fast] {
-            for p in &patterns {
-                // One matcher per pattern, reused across targets of varying
-                // size — must agree with the fresh per-pair matcher every
-                // time, whichever engine backs it.
-                let mut m = MultiMatcher::with_kind(p, kind);
-                for t in &targets {
-                    assert_eq!(m.exists_in(t), contains(t, p), "kind={kind}");
-                }
-                // Second sweep over the same targets: buffers must have
-                // been restored, answers unchanged.
-                for t in &targets {
-                    assert_eq!(m.exists_in(t), contains(t, p), "kind={kind}");
+        let expected = [
+            [true, true, false, false, false],
+            [true, true, false, false, false],
+            [false, false, false, false, false],
+            [true, false, false, false, false],
+            [false, false, false, false, false],
+            [true, true, true, true, true],
+        ];
+        for (p, want) in patterns.iter().zip(expected) {
+            let mut m = MultiMatcher::new(p);
+            for _ in 0..2 {
+                for (t, &w) in targets.iter().zip(&want) {
+                    assert_eq!(contains(t, p), w);
+                    assert_eq!(m.exists_in(t), w);
                 }
             }
         }
-    }
-
-    #[test]
-    fn fast_matcher_is_the_default_and_kinds_parse() {
-        let e = edge_graph(0, 5, 1);
-        assert_eq!(MultiMatcher::new(&e).kind(), MatcherKind::Fast);
-        assert_eq!(MatcherKind::parse("vf2"), Some(MatcherKind::Vf2));
-        assert_eq!(MatcherKind::parse("fast"), Some(MatcherKind::Fast));
-        assert_eq!(MatcherKind::parse("FAST"), None);
-        assert_eq!("vf2".parse::<MatcherKind>(), Ok(MatcherKind::Vf2));
-        assert!("x".parse::<MatcherKind>().is_err());
-        assert_eq!(MatcherKind::Fast.to_string(), "fast");
     }
 
     #[test]
@@ -1077,19 +653,9 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "MatcherKind::Fast")]
-    fn compiled_targets_reject_vf2_matchers() {
-        use crate::compiled::CompiledGraph;
-        let p = edge_graph(0, 5, 1);
-        let t = labeled_path(&[0, 1, 2], &[5, 6]);
-        let compiled = CompiledGraph::compile(&t);
-        MultiMatcher::with_kind(&p, MatcherKind::Vf2).exists_in_compiled(&compiled);
-    }
-
     fn clique(n: usize) -> Graph {
-        // Label-uniform clique: the VF2 worst case (every node is a
-        // candidate for every pattern node).
+        // Label-uniform clique: every node is a candidate for every
+        // pattern node.
         let mut b = GraphBuilder::new();
         let nodes: Vec<_> = (0..n).map(|_| b.add_node(0)).collect();
         for i in 0..n {
@@ -1120,58 +686,31 @@ mod tests {
         let k4 = clique(4);
         let k9 = clique(9);
         let k333 = complete_tripartite(3);
-
-        // Positive pair: found well within a generous cap.
-        let m = SubgraphMatcher::new(&k4, &k9);
-        assert_eq!(m.exists_within(u64::MAX), MatchOutcome::Matched);
+        let mut mm = MultiMatcher::new(&k4);
+        // Positive pair: found well within an unbounded search.
+        let (out, used) = mm.exists_in_counted(&k9, u64::MAX);
+        assert_eq!(out, MatchOutcome::Matched);
+        assert!(used > 0);
         // Negative pair: the unbounded search proves absence...
-        let m = SubgraphMatcher::new(&k4, &k333);
-        assert_eq!(m.exists_within(u64::MAX), MatchOutcome::Unmatched);
+        let (out, full) = mm.exists_in_counted(&k333, u64::MAX);
+        assert_eq!(out, MatchOutcome::Unmatched);
+        assert!(full > 10);
         // ...but a tight step cap gives up instead of grinding.
-        assert_eq!(m.exists_within(10), MatchOutcome::Indeterminate);
-        assert_eq!(m.exists_within(0), MatchOutcome::Indeterminate);
-
-        // MultiMatcher agrees and reports steps used — whichever engine
-        // backs it. (Step *counts* are engine-specific; the outcome
-        // classification and determinism rules are not.)
-        for kind in [MatcherKind::Vf2, MatcherKind::Fast] {
-            let mut mm = MultiMatcher::with_kind(&k4, kind);
-            let (out, used) = mm.exists_in_counted(&k9, u64::MAX);
-            assert_eq!(out, MatchOutcome::Matched, "kind={kind}");
-            assert!(used > 0, "kind={kind}");
-            let (out, used) = mm.exists_in_counted(&k333, 10);
-            assert_eq!(out, MatchOutcome::Indeterminate, "kind={kind}");
-            assert_eq!(used, 10, "kind={kind}");
-            let (out, full) = mm.exists_in_counted(&k333, u64::MAX);
-            assert_eq!(out, MatchOutcome::Unmatched, "kind={kind}");
-            assert!(full > 10, "kind={kind}");
-            // Bounded runs are deterministic: same cap, same outcome, and
-            // the scratch buffers are restored after an aborted search.
-            let (out2, used2) = mm.exists_in_counted(&k333, 10);
-            assert_eq!(
-                (out2, used2),
-                (MatchOutcome::Indeterminate, 10),
-                "kind={kind}"
-            );
-            assert!(mm.exists_in(&k9), "kind={kind}");
-        }
-    }
-
-    #[test]
-    fn fast_engine_filters_harder_than_vf2() {
-        // The fast engine only pops candidates that already satisfy every
-        // back-edge constraint, so the K4-in-K(3,3,3) refutation costs
-        // strictly fewer steps than VF2's try-all-neighbors search.
-        let k4 = clique(4);
-        let k333 = complete_tripartite(3);
-        let (_, vf2_steps) =
-            MultiMatcher::with_kind(&k4, MatcherKind::Vf2).exists_in_counted(&k333, u64::MAX);
-        let (_, fast_steps) =
-            MultiMatcher::with_kind(&k4, MatcherKind::Fast).exists_in_counted(&k333, u64::MAX);
-        assert!(
-            fast_steps < vf2_steps,
-            "fast used {fast_steps} steps, vf2 {vf2_steps}"
+        assert_eq!(
+            mm.exists_in_counted(&k333, 10),
+            (MatchOutcome::Indeterminate, 10)
         );
+        assert_eq!(
+            mm.exists_in_counted(&k333, 0),
+            (MatchOutcome::Indeterminate, 0)
+        );
+        // Bounded runs are deterministic: same cap, same outcome, and the
+        // scratch buffers are restored after an aborted search.
+        assert_eq!(
+            mm.exists_in_counted(&k333, 10),
+            (MatchOutcome::Indeterminate, 10)
+        );
+        assert!(mm.exists_in(&k9));
     }
 
     #[test]
@@ -1179,13 +718,11 @@ mod tests {
         let empty = GraphBuilder::new().build();
         let e = edge_graph(0, 1, 0);
         let k4 = clique(4);
-        for kind in [MatcherKind::Vf2, MatcherKind::Fast] {
-            let mut mm = MultiMatcher::with_kind(&empty, kind);
-            assert_eq!(mm.exists_in_counted(&e, 0), (MatchOutcome::Matched, 0));
-            // Pattern larger than target: rejected before any search step.
-            let mut mm = MultiMatcher::with_kind(&k4, kind);
-            assert_eq!(mm.exists_in_counted(&e, 0), (MatchOutcome::Unmatched, 0));
-        }
+        let mut mm = MultiMatcher::new(&empty);
+        assert_eq!(mm.exists_in_counted(&e, 0), (MatchOutcome::Matched, 0));
+        // Pattern larger than target: rejected before any search step.
+        let mut mm = MultiMatcher::new(&k4);
+        assert_eq!(mm.exists_in_counted(&e, 0), (MatchOutcome::Unmatched, 0));
     }
 
     #[test]

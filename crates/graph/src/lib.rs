@@ -13,12 +13,12 @@
 //!   table, with summary statistics (the paper's Table V reports these).
 //! * [`neighborhood`] — BFS balls and `CutGraph(n, radius)` (Algorithm 2,
 //!   line 12): extracting the induced subgraph within a hop radius.
-//! * [`iso`] — subgraph isomorphism: existence, embedding enumeration, and
-//!   whole-graph isomorphism tests, behind two engines (`MatcherKind`):
-//!   the VF2-style reference matcher and the default fast path-at-a-time
-//!   bitset matcher. Used for support counting in the FSG baseline,
-//!   maximality filtering, classification features, and verifying that
-//!   mined patterns really occur where claimed.
+//! * [`iso`] — subgraph isomorphism: existence (optionally step-bounded),
+//!   a first embedding, and whole-graph isomorphism tests, all on one
+//!   path-at-a-time bitset engine ([`MultiMatcher`]). Used for support
+//!   counting in the FSG baseline, candidate dedup, maximality filtering,
+//!   classification features, and verifying that mined patterns really
+//!   occur where claimed.
 //! * [`compiled`] — [`CompiledGraph`]/[`CompiledDb`]: label-bucketed bitset
 //!   target representation the fast matcher searches over, built once per
 //!   database and cached on the [`LabelPairIndex`].
@@ -85,7 +85,7 @@ pub use graph::{Edge, Graph, GraphBuilder, NodeId};
 pub use index::{EdgeOccurrence, LabelPairEntry, LabelPairIndex, LabelTriple};
 pub use invariant::{certificate, refine, refine_metered, Certificate, Refinement};
 pub use io::{parse_transactions, parse_transactions_into, write_transactions, ParseError};
-pub use iso::{are_isomorphic, MatchOutcome, MatcherKind, MultiMatcher, SubgraphMatcher};
+pub use iso::{are_isomorphic, MatchOutcome, MatcherKind, MultiMatcher};
 pub use labels::{EdgeLabel, LabelTable, NodeLabel};
 pub use neighborhood::cut_graph;
 pub use par::{

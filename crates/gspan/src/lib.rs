@@ -21,9 +21,6 @@
 //!   incremental `is_min` test with early exit, both pruned by
 //!   automorphism-orbit dedup of starting embeddings (byte-identical
 //!   output; unpruned reference variants kept for differential tests).
-//! * [`canon`] — [`CanonCache`]: certificate-keyed cache of verified
-//!   minimal codes that answers repeated `is_min` queries for isomorphic
-//!   search nodes without re-running the self-projection.
 //! * [`miner`] — the projected pattern-growth search over a [`GraphDb`](graphsig_graph::GraphDb).
 //! * [`pattern`] — mined [`Pattern`]s and closed / maximal post-filters.
 //!
@@ -43,17 +40,13 @@
 //! assert!(patterns.iter().any(|p| p.graph.edge_count() == 1 && p.support == 2));
 //! ```
 
-pub mod canon;
 pub mod dfs_code;
 mod extend;
 pub mod min_code;
 pub mod miner;
 pub mod pattern;
 
-pub use canon::CanonCache;
 pub use dfs_code::{DfsCode, DfsEdge};
 pub use min_code::{is_min, is_min_unpruned, min_dfs_code, min_dfs_code_unpruned};
 pub use miner::{GSpan, MinerConfig};
-pub use pattern::{
-    filter_closed, filter_closed_with, filter_maximal, filter_maximal_with, Pattern,
-};
+pub use pattern::{filter_closed, filter_maximal, filter_maximal_with, Pattern};

@@ -307,8 +307,7 @@ pub fn is_min(code: &DfsCode) -> bool {
     if code.is_empty() {
         return true;
     }
-    let g = code.to_graph();
-    is_min_of_graph(&g, code)
+    build_min(&code.to_graph(), Some(code), true).is_some()
 }
 
 /// [`is_min`] with embedding pruning disabled (differential-testing
@@ -319,13 +318,6 @@ pub fn is_min_unpruned(code: &DfsCode) -> bool {
     }
     let g = code.to_graph();
     build_min(&g, Some(code), false).is_some()
-}
-
-/// [`is_min`] against a pre-built graph of `code` — lets the cached gate
-/// reuse the `to_graph()` it already materialized for the certificate.
-pub(crate) fn is_min_of_graph(g: &Graph, code: &DfsCode) -> bool {
-    debug_assert_eq!(g.edge_count(), code.len());
-    build_min(g, Some(code), true).is_some()
 }
 
 #[cfg(test)]

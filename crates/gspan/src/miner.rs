@@ -19,7 +19,6 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::canon::CanonCache;
 use crate::dfs_code::{extension_order, DfsCode, DfsEdge};
 use crate::extend::{enumerate_extensions_framed, ExtFrame};
 use crate::min_code::is_min;
@@ -48,13 +47,6 @@ pub struct MinerConfig {
     /// across thread counts; deadline/cancellation are best-effort. See
     /// [`graphsig_graph::control`].
     pub budget: Option<Budget>,
-    /// Answer `is_min` through the per-seed certificate-keyed
-    /// [`CanonCache`] (the default) instead of re-running the
-    /// self-projection at every search node. Mined patterns are
-    /// byte-identical either way; the cache only changes how the answer is
-    /// computed (and, under a step budget, how refinement work is
-    /// metered).
-    pub canon_cache: bool,
 }
 
 impl MinerConfig {
@@ -66,7 +58,6 @@ impl MinerConfig {
             max_patterns: None,
             threads: 1,
             budget: None,
-            canon_cache: true,
         }
     }
 
@@ -92,14 +83,6 @@ impl MinerConfig {
     /// cancellation).
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Enable or disable the certificate-keyed `is_min` cache (on by
-    /// default). The uncached path is kept as the differential-testing
-    /// reference; output is byte-identical either way.
-    pub fn with_canon_cache(mut self, canon_cache: bool) -> Self {
-        self.canon_cache = canon_cache;
         self
     }
 
@@ -345,10 +328,6 @@ struct Ctx<'a> {
     /// First budget truncation observed (in seed order), if any.
     truncation: Option<StopReason>,
     scratch: Scratch,
-    /// Certificate-keyed minimality cache, cleared at every seed boundary
-    /// so sequential and parallel runs observe identical cache states (and
-    /// identical hit counters) per seed.
-    canon: CanonCache,
 }
 
 impl<'a> Ctx<'a> {
@@ -361,7 +340,6 @@ impl<'a> Ctx<'a> {
             meter: Meter::new(cfg.budget.as_ref()),
             truncation: None,
             scratch: Scratch::default(),
-            canon: CanonCache::new(),
         }
     }
 
@@ -383,7 +361,6 @@ impl<'a> Ctx<'a> {
             return;
         }
         self.meter = Meter::new(self.cfg.budget.as_ref());
-        self.canon.clear();
         let (la, le, lb) = entry.key;
         let embs = seed_embeddings(entry);
         let mut code = DfsCode::from_initial(la, le, lb);
@@ -402,22 +379,10 @@ impl<'a> Ctx<'a> {
             self.note_truncation();
             return;
         }
-        // Minimality gate. The cached path gives exactly `is_min`'s answer
-        // (see `canon`); a `None` means the step budget died during
-        // certificate refinement, handled like any other budget stop.
-        let minimal = if self.cfg.canon_cache {
-            match self.canon.is_min(code, &mut self.meter) {
-                Some(m) => m,
-                None => {
-                    self.note_truncation();
-                    return;
-                }
-            }
-        } else {
-            self.meter.note_canon();
-            is_min(code)
-        };
-        if !minimal {
+        // Minimality gate: a non-minimal code repeats a pattern reached
+        // through its canonical code, so the whole subtree is skipped.
+        self.meter.note_canon();
+        if !is_min(code) {
             return;
         }
         debug_assert!(gids.len() >= self.cfg.min_support);
@@ -530,7 +495,7 @@ impl<'a> Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphsig_graph::{are_isomorphic, parse_transactions, SubgraphMatcher};
+    use graphsig_graph::{are_isomorphic, iso::contains, parse_transactions};
 
     fn tiny_db() -> GraphDb {
         parse_transactions(
@@ -568,14 +533,10 @@ mod tests {
         assert!(pats
             .iter()
             .any(|p| p.support == 1 && p.graph.edge_count() == 1));
-        // Every reported pattern must occur (VF2-verified) in exactly
-        // `support` graphs.
+        // Every reported pattern must occur (containment-verified) in
+        // exactly `support` graphs.
         for p in &pats {
-            let occ = db
-                .graphs()
-                .iter()
-                .filter(|g| SubgraphMatcher::new(&p.graph, g).exists())
-                .count();
+            let occ = db.graphs().iter().filter(|g| contains(g, &p.graph)).count();
             assert_eq!(occ, p.support, "pattern {}", p.code);
         }
     }
@@ -586,7 +547,7 @@ mod tests {
         for p in GSpan::new(MinerConfig::new(1)).mine(&db) {
             assert_eq!(p.gids.len(), p.support);
             for &gid in &p.gids {
-                assert!(SubgraphMatcher::new(&p.graph, db.graph(gid as usize)).exists());
+                assert!(contains(db.graph(gid as usize), &p.graph));
             }
         }
     }
@@ -750,25 +711,6 @@ mod tests {
             zero.completion,
             Completion::Truncated(StopReason::StepBudget)
         );
-    }
-
-    #[test]
-    fn canon_cache_on_and_off_mine_identical_patterns() {
-        let db = tiny_db();
-        for support in [1, 2, 3] {
-            let cached = GSpan::new(MinerConfig::new(support)).mine(&db);
-            let plain = GSpan::new(MinerConfig::new(support).with_canon_cache(false)).mine(&db);
-            assert_eq!(cached.len(), plain.len(), "support={support}");
-            for (a, b) in cached.iter().zip(&plain) {
-                assert_eq!(a.code, b.code, "support={support}");
-                assert_eq!(a.gids, b.gids);
-            }
-        }
-        // The cache actually fires: with an attached (unlimited) budget the
-        // counters show certificate work happened.
-        let budget = Budget::unlimited();
-        GSpan::new(MinerConfig::new(1).with_budget(budget.clone())).mine(&db);
-        assert!(budget.canon_calls() > 0);
     }
 
     #[test]

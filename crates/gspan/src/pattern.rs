@@ -30,13 +30,7 @@ impl Pattern {
 /// Keep only *closed* patterns: those with no super-pattern of equal
 /// support. (CloseGraph output semantics, by post-filtering.)
 pub fn filter_closed(patterns: Vec<Pattern>) -> Vec<Pattern> {
-    filter_closed_with(patterns, MatcherKind::default())
-}
-
-/// [`filter_closed`] with an explicit isomorphism engine for the
-/// containment tests.
-pub fn filter_closed_with(patterns: Vec<Pattern>, matcher: MatcherKind) -> Vec<Pattern> {
-    retain_without_superpattern(patterns, true, matcher)
+    retain_without_superpattern(patterns, true)
 }
 
 /// Keep only *maximal* patterns: those that are not a subgraph of any other
@@ -44,13 +38,13 @@ pub fn filter_closed_with(patterns: Vec<Pattern>, matcher: MatcherKind) -> Vec<P
 /// Algorithm 2 — "a frequent subgraph is maximal if it is not a subgraph of
 /// any other frequent subgraph".
 pub fn filter_maximal(patterns: Vec<Pattern>) -> Vec<Pattern> {
-    filter_maximal_with(patterns, MatcherKind::default())
+    retain_without_superpattern(patterns, false)
 }
 
-/// [`filter_maximal`] with an explicit isomorphism engine for the
-/// containment tests.
-pub fn filter_maximal_with(patterns: Vec<Pattern>, matcher: MatcherKind) -> Vec<Pattern> {
-    retain_without_superpattern(patterns, false, matcher)
+/// [`filter_maximal`]; the engine argument carries no choice. Kept only
+/// because the benchmark crate still calls it; removed with that call.
+pub fn filter_maximal_with(patterns: Vec<Pattern>, _matcher: MatcherKind) -> Vec<Pattern> {
+    filter_maximal(patterns)
 }
 
 /// Shared filter: drop `p` when some other pattern strictly contains it
@@ -63,11 +57,7 @@ pub fn filter_maximal_with(patterns: Vec<Pattern>, matcher: MatcherKind) -> Vec<
 /// in a kept maximal (closed) pattern that also witnesses it. This keeps
 /// the filter O(|patterns| × |kept|) instead of O(|patterns|²) — the kept
 /// set is tiny for the high-threshold region sets of Algorithm 2.
-fn retain_without_superpattern(
-    patterns: Vec<Pattern>,
-    same_support_only: bool,
-    matcher: MatcherKind,
-) -> Vec<Pattern> {
+fn retain_without_superpattern(patterns: Vec<Pattern>, same_support_only: bool) -> Vec<Pattern> {
     let mut order: Vec<usize> = (0..patterns.len()).collect();
     order.sort_by(|&a, &b| {
         patterns[b]
@@ -81,7 +71,7 @@ fn retain_without_superpattern(
         let pe = p.graph.edge_count();
         // One matcher for p against every kept super-pattern candidate:
         // the pattern-side compilation is shared across the kept set.
-        let mut m = MultiMatcher::with_kind(&p.graph, matcher);
+        let mut m = MultiMatcher::new(&p.graph);
         let dominated = kept.iter().any(|&k| {
             let q = &patterns[k];
             if q.graph.edge_count() <= pe {
@@ -192,21 +182,6 @@ mod tests {
         // C-C has support 3 but is still inside C-C-O → not maximal.
         assert_eq!(maximal.len(), 1);
         assert_eq!(maximal[0].graph.edge_count(), 2);
-    }
-
-    #[test]
-    fn filter_variants_agree_across_matcher_kinds() {
-        let pats = GSpan::new(MinerConfig::new(2)).mine(&db());
-        for kind in [MatcherKind::Vf2, MatcherKind::Fast] {
-            let closed = filter_closed_with(pats.clone(), kind);
-            assert_eq!(closed.len(), filter_closed(pats.clone()).len());
-            let maximal = filter_maximal_with(pats.clone(), kind);
-            assert_eq!(maximal.len(), filter_maximal(pats.clone()).len());
-            for (a, b) in maximal.iter().zip(filter_maximal(pats.clone()).iter()) {
-                assert_eq!(a.code, b.code, "kind={kind}");
-                assert_eq!(a.gids, b.gids, "kind={kind}");
-            }
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use graphsig_core::{
     WindowKey,
 };
 use graphsig_fsg::{Fsg, FsgConfig};
-use graphsig_graph::{GraphDb, LabelPairIndex, MatcherKind};
+use graphsig_graph::{GraphDb, LabelPairIndex};
 use graphsig_gspan::{GSpan, MinerConfig, Pattern};
 
 use crate::protocol::{BackendKind, MineRequest, Request, Response};
@@ -74,7 +74,6 @@ pub(crate) struct MineKey {
     fsm_freq_bits: u64,
     radius: usize,
     backend: graphsig_core::FsmBackend,
-    matcher: MatcherKind,
     threads: usize,
     sleep_ms: Option<u64>,
     inject_panic: bool,
@@ -97,7 +96,6 @@ impl MineKey {
             fsm_freq_bits: cfg.fsm_freq.to_bits(),
             radius: cfg.radius,
             backend: cfg.fsm_backend,
-            matcher: cfg.matcher,
             threads: cfg.threads,
             sleep_ms: r.sleep_ms,
             inject_panic: r.inject_panic,
@@ -270,7 +268,6 @@ impl Ending {
 /// The per-threshold knobs shared by `freq` and `sweep`.
 pub(crate) struct FreqParams {
     pub(crate) backend: Option<BackendKind>,
-    pub(crate) matcher: MatcherKind,
     pub(crate) max_edges: usize,
     pub(crate) max_patterns: usize,
     pub(crate) threads: usize,
@@ -291,7 +288,6 @@ pub(crate) fn run_freq(
             FsgConfig::new(min_support)
                 .with_max_edges(params.max_edges)
                 .with_max_patterns(params.max_patterns)
-                .with_matcher(params.matcher)
                 .with_threads(params.threads)
                 .with_budget(budget),
         )

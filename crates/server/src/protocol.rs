@@ -23,9 +23,9 @@
 //! | op | keys |
 //! |---|---|
 //! | `load` | `dataset=` plus `path=` *or* `gen=aids count= [seed=]`; `[format=text\|packed]` (`packed` opens a sharded store directory leniently — damaged shards are quarantined and the dataset serves degraded); `[append=true]` extends the resident dataset instead of replacing it (existing per-segment index caches are kept, only the new graphs are indexed) |
-//! | `mine` | `dataset=` `[max_pvalue=] [min_freq=] [radius=] [fsm_freq=] [backend=fsg\|gspan] [matcher=vf2\|fast] [threads=] [top=] [timeout_ms=] [max_steps=]` (+ fault-injection keys `sleep_ms=` / `inject=panic`, only honored when the server enables them) |
-//! | `freq` | `dataset=` `min_support=` `[backend=] [matcher=] [max_edges=] [max_patterns=] [timeout_ms=] [max_steps=]` |
-//! | `sweep` | `dataset=` `supports=<s1,s2,...>` `[backend=] [matcher=] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]` — one `freq` run per threshold over one shared index build; per-threshold payload segments are byte-identical to individual `freq` calls |
+//! | `mine` | `dataset=` `[max_pvalue=] [min_freq=] [radius=] [fsm_freq=] [backend=fsg\|gspan] [threads=] [top=] [timeout_ms=] [max_steps=]` (+ fault-injection keys `sleep_ms=` / `inject=panic`, only honored when the server enables them) |
+//! | `freq` | `dataset=` `min_support=` `[backend=] [max_edges=] [max_patterns=] [timeout_ms=] [max_steps=]` |
+//! | `sweep` | `dataset=` `supports=<s1,s2,...>` `[backend=] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]` — one `freq` run per threshold over one shared index build; per-threshold payload segments are byte-identical to individual `freq` calls |
 //! | `stats` | `[dataset=]` |
 //! | `cancel` | `target=<request id>` |
 //! | `ping` | — |
@@ -49,8 +49,6 @@
 //! serving. `bytes=` is always the last header field.
 
 use std::fmt;
-
-use graphsig_graph::MatcherKind;
 
 /// Longest accepted request line (raw bytes, before unescaping). Keeps a
 /// hostile client from ballooning server memory one line at a time.
@@ -198,8 +196,6 @@ pub struct MineRequest {
     pub fsm_freq: Option<f64>,
     /// FSM backend override.
     pub backend: Option<BackendKind>,
-    /// Isomorphism engine override (default fast).
-    pub matcher: Option<MatcherKind>,
     /// Worker threads for this request (0 = auto).
     pub threads: Option<usize>,
     /// Cap on rendered subgraphs (like the CLI's `--top`).
@@ -225,8 +221,6 @@ pub struct FreqRequest {
     pub min_support: usize,
     /// Miner to run (default FSG).
     pub backend: Option<BackendKind>,
-    /// Isomorphism engine override (default fast).
-    pub matcher: Option<MatcherKind>,
     /// Pattern edge cap.
     pub max_edges: Option<usize>,
     /// Pattern count cap.
@@ -251,8 +245,6 @@ pub struct SweepRequest {
     pub supports: Vec<usize>,
     /// Miner to run (default FSG).
     pub backend: Option<BackendKind>,
-    /// Isomorphism engine override (default fast).
-    pub matcher: Option<MatcherKind>,
     /// Pattern edge cap.
     pub max_edges: Option<usize>,
     /// Pattern count cap.
@@ -411,15 +403,6 @@ impl Fields {
         }
     }
 
-    fn take_matcher(&mut self) -> Result<Option<MatcherKind>, ProtocolError> {
-        match self.take("matcher") {
-            None => Ok(None),
-            Some(v) => MatcherKind::parse(&v)
-                .map(Some)
-                .ok_or_else(|| err(format!("unknown matcher '{v}' (expected vf2 or fast)"))),
-        }
-    }
-
     fn take_budget(&mut self) -> Result<BudgetParams, ProtocolError> {
         Ok(BudgetParams {
             timeout_ms: self.take_parse("timeout_ms")?,
@@ -511,7 +494,6 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
                     radius: fields.take_parse("radius")?,
                     fsm_freq: fields.take_parse("fsm_freq")?,
                     backend: fields.take_backend()?,
-                    matcher: fields.take_matcher()?,
                     threads: fields.take_parse("threads")?,
                     top: fields.take_parse("top")?,
                     budget: fields.take_budget()?,
@@ -531,7 +513,6 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
                     dataset: fields.require("dataset")?,
                     min_support: fields.require_parse("min_support")?,
                     backend: fields.take_backend()?,
-                    matcher: fields.take_matcher()?,
                     max_edges: fields.take_parse("max_edges")?,
                     max_patterns: fields.take_parse("max_patterns")?,
                     threads: fields.take_parse("threads")?,
@@ -554,7 +535,6 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
                     dataset: fields.require("dataset")?,
                     supports,
                     backend: fields.take_backend()?,
-                    matcher: fields.take_matcher()?,
                     max_edges: fields.take_parse("max_edges")?,
                     max_patterns: fields.take_parse("max_patterns")?,
                     threads: fields.take_parse("threads")?,
@@ -844,22 +824,26 @@ mod tests {
 
     #[test]
     fn parses_matcher_key_on_mine_and_freq() {
-        let Ok(Some(Request::Mine(r))) = parse_request("mine id=1 dataset=d matcher=vf2") else {
-            panic!("parse failed");
-        };
-        assert_eq!(r.matcher, Some(MatcherKind::Vf2));
-        let Ok(Some(Request::Freq(r))) =
-            parse_request("freq id=2 dataset=d min_support=3 matcher=fast")
-        else {
-            panic!("parse failed");
-        };
-        assert_eq!(r.matcher, Some(MatcherKind::Fast));
-        assert!(parse_request("mine id=3 dataset=d matcher=magic").is_err());
+        // There is one isomorphism engine, so `matcher=` is rejected like
+        // any other unknown key, whatever its value.
+        for (op, line) in [
+            ("mine", "mine id=1 dataset=d matcher=fast"),
+            ("freq", "freq id=2 dataset=d min_support=3 matcher=vf2"),
+            ("sweep", "sweep id=3 dataset=d supports=4,2 matcher=fast"),
+        ] {
+            let Err(e) = parse_request(line) else {
+                panic!("accepted: {line}");
+            };
+            assert_eq!(
+                e.to_string(),
+                format!("unknown key 'matcher' for op '{op}'")
+            );
+        }
     }
 
     #[test]
     fn parses_sweep_with_support_list() {
-        let line = "sweep id=9 dataset=d supports=10,8,6 backend=fsg matcher=vf2 \
+        let line = "sweep id=9 dataset=d supports=10,8,6 backend=fsg \
                     max_edges=6 max_patterns=500 threads=1 timeout_ms=900 max_steps=77";
         let Ok(Some(Request::Sweep(r))) = parse_request(line) else {
             panic!("parse failed");
@@ -867,7 +851,6 @@ mod tests {
         assert_eq!(r.id, "9");
         assert_eq!(r.supports, vec![10, 8, 6]);
         assert_eq!(r.backend, Some(BackendKind::Fsg));
-        assert_eq!(r.matcher, Some(MatcherKind::Vf2));
         assert_eq!(r.budget.timeout_ms, Some(900));
         assert_eq!(r.budget.max_steps, Some(77));
         // Malformed lists are rejected, never a panic.

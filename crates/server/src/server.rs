@@ -693,7 +693,6 @@ impl ServerInner {
                 None | Some(BackendKind::Fsg) => FsmBackend::Fsg,
                 Some(BackendKind::GSpan) => FsmBackend::GSpan,
             },
-            matcher: r.matcher.unwrap_or_default(),
             ..defaults
         };
         let in_range = (0.0..=1.0).contains(&cfg.max_pvalue)
@@ -767,7 +766,6 @@ impl ServerInner {
         let index = dataset.index();
         let params = FreqParams {
             backend: r.backend,
-            matcher: r.matcher.unwrap_or_default(),
             max_edges: r.max_edges.unwrap_or(8),
             max_patterns: r.max_patterns.unwrap_or(10_000),
             threads: r.threads.unwrap_or(0),
@@ -802,7 +800,6 @@ impl ServerInner {
             dataset,
             params: FreqParams {
                 backend: r.backend,
-                matcher: r.matcher.unwrap_or_default(),
                 max_edges: r.max_edges.unwrap_or(8),
                 max_patterns: r.max_patterns.unwrap_or(10_000),
                 threads: r.threads.unwrap_or(0),

@@ -154,24 +154,14 @@ fn sweep_payload_segments_match_individual_freq_calls() {
     wait_all(&sink, &["L".to_string()]);
     server.dispatch_line("freq id=f12 dataset=d min_support=12 max_edges=5", &out);
     server.dispatch_line("freq id=f6 dataset=d min_support=6 max_edges=5", &out);
-    server.dispatch_line(
-        "freq id=fv dataset=d min_support=6 max_edges=5 matcher=vf2",
-        &out,
-    );
     server.dispatch_line("sweep id=s dataset=d supports=12,6 max_edges=5", &out);
-    let ids: Vec<String> = ["f12", "f6", "fv", "s"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let ids: Vec<String> = ["f12", "f6", "s"].iter().map(|s| s.to_string()).collect();
     let responses = wait_all(&sink, &ids);
     let body = |id: &str| -> String {
         let (h, b) = responses.iter().find(|(h, _)| h.id == id).expect(id);
         assert_eq!(h.status, Status::Ok, "{id}");
         String::from_utf8(b.clone()).expect("utf-8 payload")
     };
-    // The vf2 engine produces the same frequent patterns as the default
-    // fast engine — byte-identical payloads.
-    assert_eq!(body("f6"), body("fv"), "vf2 vs fast freq payloads differ");
     // Each sweep segment (after its marker line) is byte-identical to the
     // corresponding individual freq payload.
     let sweep = body("s");

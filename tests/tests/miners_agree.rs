@@ -3,7 +3,7 @@
 
 use graphsig_datagen::aids_like;
 use graphsig_fsg::{Fsg, FsgConfig};
-use graphsig_graph::SubgraphMatcher;
+use graphsig_graph::iso::contains;
 use graphsig_gspan::{GSpan, MinerConfig, Pattern};
 
 fn code_key(p: &Pattern) -> Vec<(u32, u32, u16, u16, u16)> {
@@ -33,7 +33,7 @@ fn gspan_and_fsg_mine_identical_sets() {
 }
 
 #[test]
-fn supports_are_vf2_verified() {
+fn supports_are_containment_verified() {
     let data = aids_like(40, 321);
     let support = (0.3 * data.len() as f64).ceil() as usize;
     let patterns = GSpan::new(MinerConfig::new(support).with_max_edges(5)).mine(&data.db);
@@ -43,7 +43,7 @@ fn supports_are_vf2_verified() {
             .db
             .graphs()
             .iter()
-            .filter(|g| SubgraphMatcher::new(&p.graph, g).exists())
+            .filter(|g| contains(g, &p.graph))
             .count();
         assert_eq!(real, p.support, "pattern {}", p.code);
     }
@@ -72,7 +72,7 @@ fn maximal_subset_of_closed_subset_of_frequent() {
         for f in &frequent {
             if f.graph.edge_count() > m.graph.edge_count() {
                 assert!(
-                    !SubgraphMatcher::new(&m.graph, &f.graph).exists(),
+                    !contains(&f.graph, &m.graph),
                     "non-maximal pattern in maximal output"
                 );
             }
@@ -92,7 +92,7 @@ fn anti_monotonicity_of_support() {
         .collect();
     for p in patterns.iter().filter(|p| p.graph.edge_count() > 1) {
         for s in &singles {
-            if SubgraphMatcher::new(&s.graph, &p.graph).exists() {
+            if contains(&p.graph, &s.graph) {
                 assert!(
                     p.support <= s.support,
                     "support grew: {} ⊃ {}",

@@ -6,10 +6,11 @@ use proptest::prelude::*;
 use graphsig_fvmine::{ceiling_of, floor_of, is_sub_vector};
 use graphsig_graph::invariant::certificate;
 use graphsig_graph::{
-    are_isomorphic, CompiledGraph, Graph, GraphBuilder, MatchOutcome, MatcherKind, MultiMatcher,
-    SubgraphMatcher,
+    are_isomorphic, iso::contains, CompiledGraph, Graph, GraphBuilder, GraphDb, MatchOutcome,
+    MultiMatcher,
 };
 use graphsig_gspan::{is_min, is_min_unpruned, min_dfs_code, min_dfs_code_unpruned};
+use graphsig_integration::{brute_contains, brute_frequent_subgraphs, brute_isomorphic};
 use graphsig_stats::{binomial_tail_upper, Binomial};
 
 /// Strategy: a small random connected labeled graph (tree + extra edges).
@@ -48,8 +49,10 @@ fn connected_graph() -> impl Strategy<Value = Graph> {
 }
 
 /// A small random connected graph built directly from an LCG seed (for
-/// tests that need several graphs per proptest case).
-fn lcg_graph(seed: u64) -> Graph {
+/// tests that need several graphs per proptest case): a random tree over
+/// two node and two edge labels plus up to `extra_edges` cycle-closing
+/// edges. Few labels make containment and frequent patterns common.
+fn lcg_graph(seed: u64, extra_edges: u64) -> Graph {
     let mut state = seed | 1;
     let mut next = move |m: u64| {
         state = state
@@ -60,12 +63,21 @@ fn lcg_graph(seed: u64) -> Graph {
     let n = 2 + next(7) as usize;
     let mut b = GraphBuilder::new();
     for _ in 0..n {
-        let label = next(4) as u16;
+        let label = next(2) as u16;
         b.add_node(label);
     }
+    let mut edges = std::collections::HashSet::new();
     for i in 1..n as u32 {
         let parent = next(i as u64) as u32;
-        b.add_edge(parent, i, next(3) as u16);
+        b.add_edge(parent, i, next(2) as u16);
+        edges.insert((parent, i));
+    }
+    for _ in 0..extra_edges {
+        let u = next(n as u64) as u32;
+        let v = next(n as u64) as u32;
+        if u != v && edges.insert((u.min(v), u.max(v))) {
+            b.add_edge(u, v, next(2) as u16);
+        }
     }
     b.build()
 }
@@ -175,13 +187,13 @@ proptest! {
 
     #[test]
     fn graph_contains_itself_and_its_edges(g in connected_graph()) {
-        prop_assert!(SubgraphMatcher::new(&g, &g).exists());
+        prop_assert!(contains(&g, &g));
         for e in g.edges() {
             let mut b = GraphBuilder::new();
             let u = b.add_node(g.node_label(e.u));
             let v = b.add_node(g.node_label(e.v));
             b.add_edge(u, v, e.label);
-            prop_assert!(SubgraphMatcher::new(&b.build(), &g).exists());
+            prop_assert!(contains(&g, &b.build()));
         }
     }
 
@@ -294,7 +306,7 @@ proptest! {
         let _ = graphsig_server::protocol::parse_response_stream(&bytes);
     }
 
-    // ---- isomorphism engines: vf2 and fast must agree ----
+    // ---- the matcher and the miners against brute-force references ----
 
     #[test]
     fn iso_backends_agree_on_random_pairs(
@@ -302,94 +314,90 @@ proptest! {
         tseed in any::<u64>(),
         steps in 0u64..400,
     ) {
-        let pattern = lcg_graph(pseed);
-        let target = lcg_graph(tseed);
-        let mut vf2 = MultiMatcher::with_kind(&pattern, MatcherKind::Vf2);
-        let mut fast = MultiMatcher::with_kind(&pattern, MatcherKind::Fast);
-        // Unbudgeted existence agrees across engines, and the compiled
-        // target entry point agrees with the plain one.
-        let expect = vf2.exists_in(&target);
+        let pattern = lcg_graph(pseed, 1);
+        let target = lcg_graph(tseed, 1);
+        let expect = brute_contains(&target, &pattern);
+        prop_assert_eq!(contains(&target, &pattern), expect);
+        // A reused matcher and the compiled-target entry point agree too.
+        let mut fast = MultiMatcher::new(&pattern);
         prop_assert_eq!(fast.exists_in(&target), expect);
         let compiled = CompiledGraph::compile(&target);
         prop_assert_eq!(fast.exists_in_compiled(&compiled), expect);
-        // Budgeted runs: per-engine deterministic, never overspend, and a
-        // decided outcome must agree with the unbudgeted answer. (Step
-        // counts are engine-specific by design, so the engines may decide
-        // at different budgets — but never differently.)
-        for m in [&mut vf2, &mut fast] {
-            let first = m.exists_in_counted(&target, steps);
-            prop_assert_eq!(m.exists_in_counted(&target, steps), first);
-            let (outcome, used) = first;
-            prop_assert!(used <= steps);
-            match outcome {
-                MatchOutcome::Matched => prop_assert!(expect),
-                MatchOutcome::Unmatched => prop_assert!(!expect),
-                MatchOutcome::Indeterminate => prop_assert_eq!(used, steps),
-            }
+        // Budgeted runs: deterministic, never overspend, and a decided
+        // outcome agrees with the reference.
+        let first = fast.exists_in_counted(&target, steps);
+        prop_assert_eq!(fast.exists_in_counted(&target, steps), first);
+        let (outcome, used) = first;
+        prop_assert!(used <= steps);
+        match outcome {
+            MatchOutcome::Matched => prop_assert!(expect),
+            MatchOutcome::Unmatched => prop_assert!(!expect),
+            MatchOutcome::Indeterminate => prop_assert_eq!(used, steps),
         }
-        // Compiled targets cost exactly what plain targets cost.
-        prop_assert_eq!(
-            fast.exists_in_counted_compiled(&compiled, steps),
-            fast.exists_in_counted(&target, steps)
-        );
+        // Compiled targets decide the same way at exactly the same cost.
+        prop_assert_eq!(fast.exists_in_counted_compiled(&compiled, steps), first);
     }
 
     #[test]
     fn iso_backends_agree_on_support_counts(seed in any::<u64>()) {
         // The quantity every miner derives from the matcher: how many of a
         // database's graphs contain the pattern.
-        let pattern = lcg_graph(seed ^ 0x00C0FFEE);
+        let pattern = lcg_graph(seed ^ 0x00C0FFEE, 1);
         let targets: Vec<Graph> = (0..8u64)
-            .map(|i| lcg_graph(seed ^ i.wrapping_mul(0x9E3779B97F4A7C15)))
+            .map(|i| lcg_graph(seed ^ i.wrapping_mul(0x9E3779B97F4A7C15), 1))
             .collect();
-        let count = |kind: MatcherKind| {
-            let mut m = MultiMatcher::with_kind(&pattern, kind);
-            targets.iter().filter(|t| m.exists_in(t)).count()
-        };
-        prop_assert_eq!(count(MatcherKind::Vf2), count(MatcherKind::Fast));
+        let mut m = MultiMatcher::new(&pattern);
+        prop_assert_eq!(
+            targets.iter().filter(|t| m.exists_in(t)).count(),
+            targets.iter().filter(|t| brute_contains(t, &pattern)).count()
+        );
     }
 
     #[test]
-    fn miners_are_certificate_oblivious(seed in any::<u64>()) {
+    fn miners_match_brute_force_enumeration(seed in any::<u64>()) {
         use graphsig_fsg::{Fsg, FsgConfig};
         use graphsig_gspan::{GSpan, MinerConfig};
-        // Certificates and canonical caches are pure accelerators: mined
-        // pattern lists must be byte-identical with them on or off.
-        let mut db = graphsig_graph::GraphDb::new();
-        for i in 0..6u64 {
-            db.push(lcg_graph(seed ^ (i.wrapping_mul(0x9E3779B97F4A7C15))));
+        // Every connected edge subset of a tiny database, grouped into
+        // isomorphism classes by brute force: both miners must return
+        // exactly those classes, with the same supports and gids.
+        let db = tiny_db(seed);
+        let classes = brute_frequent_subgraphs(&db, 2, 4);
+        let fsg = Fsg::new(FsgConfig::new(2).with_max_edges(4)).mine(&db);
+        let gsp = GSpan::new(MinerConfig::new(2).with_max_edges(4)).mine(&db);
+        for pats in [&fsg, &gsp] {
+            prop_assert_eq!(pats.len(), classes.len());
+            let mut seen = std::collections::HashSet::new();
+            for p in pats {
+                let hits: Vec<usize> = (0..classes.len())
+                    .filter(|&i| brute_isomorphic(&classes[i].graph, &p.graph))
+                    .collect();
+                prop_assert!(hits.len() == 1, "pattern {} matches classes {:?}", p.code, hits);
+                prop_assert!(seen.insert(hits[0]), "class reported twice: {}", p.code);
+                prop_assert_eq!(&p.gids, &classes[hits[0]].gids);
+                prop_assert_eq!(p.support, p.gids.len());
+            }
         }
-        let key = |p: &graphsig_gspan::Pattern| (p.code.clone(), p.support, p.gids.clone());
-        let fsg_on = Fsg::new(FsgConfig::new(2).with_max_edges(4)).mine(&db);
-        let fsg_off = Fsg::new(FsgConfig::new(2).with_max_edges(4).with_certificates(false)).mine(&db);
-        prop_assert_eq!(
-            fsg_on.iter().map(key).collect::<Vec<_>>(),
-            fsg_off.iter().map(key).collect::<Vec<_>>()
-        );
-        let gsp_on = GSpan::new(MinerConfig::new(2).with_max_edges(4)).mine(&db);
-        let gsp_off = GSpan::new(MinerConfig::new(2).with_max_edges(4).with_canon_cache(false)).mine(&db);
-        prop_assert_eq!(
-            gsp_on.iter().map(key).collect::<Vec<_>>(),
-            gsp_off.iter().map(key).collect::<Vec<_>>()
-        );
     }
 
     #[test]
-    fn gspan_patterns_verified_by_vf2(seed in any::<u64>()) {
+    fn gspan_patterns_containment_verified(seed in any::<u64>()) {
         use graphsig_gspan::{GSpan, MinerConfig};
-        // Tiny random database of 6 graphs derived from the seed.
-        let mut db = graphsig_graph::GraphDb::new();
-        for i in 0..6u64 {
-            db.push(lcg_graph(seed ^ (i.wrapping_mul(0x9E3779B97F4A7C15))));
-        }
+        let db = tiny_db(seed);
         let pats = GSpan::new(MinerConfig::new(2).with_max_edges(4)).mine(&db);
         for p in &pats {
-            let real = db
-                .graphs()
-                .iter()
-                .filter(|g| SubgraphMatcher::new(&p.graph, g).exists())
-                .count();
+            let real = db.graphs().iter().filter(|g| contains(g, &p.graph)).count();
             prop_assert_eq!(real, p.support);
         }
     }
+}
+
+/// Tiny random database of 6 graphs derived from `seed`, each with up to
+/// two cycle-closing edges, so patterns of up to 4 edges, cycles included,
+/// recur often enough to be frequent.
+fn tiny_db(seed: u64) -> GraphDb {
+    let mut db = GraphDb::new();
+    for i in 0..6u64 {
+        db.push(lcg_graph(seed ^ (i.wrapping_mul(0x9E3779B97F4A7C15)), 2));
+    }
+    db
 }
