@@ -71,7 +71,7 @@ fn print_usage() {
          \x20                      [--drain-ms MS] [--max-conns N] [--max-write-buf BYTES]\n\
          \x20                      [--auth-token TOKEN] [--max-resident-bytes BYTES]\n\
          \x20                      [--idle-timeout-ms MS] [--handshake-timeout-ms MS]\n\
-         \x20                      [--log] [--allow-inject] [--smoke] [--chaos]\n\
+         \x20                      [--log] [--allow-inject]\n\
          \x20                      (keeps datasets resident; line protocol on stdio, or TCP\n\
          \x20                       with --tcp — one event loop serves every connection, so\n\
          \x20                       identical concurrent mines coalesce into one run;\n\
@@ -82,9 +82,7 @@ fn print_usage() {
          \x20                       ceiling with code=resource_exhausted after LRU-evicting\n\
          \x20                       cold caches; --idle/--handshake-timeout-ms reap silent\n\
          \x20                       connections while in-flight requests proceed; --log\n\
-         \x20                       emits one line per completed request on stderr;\n\
-         \x20                       --smoke runs the fault-injection self-test, --chaos the\n\
-         \x20                       seeded chaos soak)\n\
+         \x20                       emits one line per completed request on stderr)\n\
          \x20 graphsig pack <file> <dir> [--shard-size N] [--append]\n\
          \x20                      (write a checksummed sharded binary store; --append adds\n\
          \x20                       the file's graphs to an existing store atomically)\n\
@@ -234,20 +232,12 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Boolean flags first; take_flags only understands `--flag value`.
-    let (mut smoke, mut allow_inject, mut chaos, mut log) = (false, false, false, false);
+    let (mut allow_inject, mut log) = (false, false);
     let rest: Vec<String> = args
         .iter()
         .filter(|a| match a.as_str() {
-            "--smoke" => {
-                smoke = true;
-                false
-            }
             "--allow-inject" => {
                 allow_inject = true;
-                false
-            }
-            "--chaos" => {
-                chaos = true;
                 false
             }
             "--log" => {
@@ -285,23 +275,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err(format!(
             "serve takes no positional arguments: {positional:?}"
         ));
-    }
-    if smoke {
-        graphsig_server::smoke::run()?;
-        eprintln!("serve --smoke: all checks passed");
-        return Ok(());
-    }
-    if chaos {
-        let report = graphsig_server::chaos::run(&graphsig_server::chaos::ChaosConfig::default())?;
-        eprintln!(
-            "serve --chaos: {} schedules, {} requests, {} injected fault events, \
-             {} retries — every invariant held",
-            report.schedules.len(),
-            report.total_requests,
-            report.total_fault_events,
-            report.total_retries,
-        );
-        return Ok(());
     }
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {

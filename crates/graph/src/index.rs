@@ -74,19 +74,9 @@ impl LabelPairIndex {
     /// Build the index with one scan over `db` (graphs in id order, edges
     /// in edge-id order).
     pub fn build(db: &GraphDb) -> Self {
-        Self::build_range(db, 0..db.len())
-    }
-
-    /// Build the index over one contiguous gid range of `db` (a shard of a
-    /// larger store). Occurrences and tids carry *database-global* gids, so
-    /// per-shard indexes built over adjacent ranges can be concatenated by
-    /// [`LabelPairIndex::merge`] into exactly the index a full
-    /// [`build`](Self::build) would have produced.
-    pub fn build_range(db: &GraphDb, range: std::ops::Range<usize>) -> Self {
         let mut map: std::collections::BTreeMap<LabelTriple, LabelPairEntry> =
             std::collections::BTreeMap::new();
-        for gid in range {
-            let g = db.graph(gid);
+        for (gid, g) in db.graphs().iter().enumerate() {
             for (eid, e) in g.edges().iter().enumerate() {
                 let (lu, lv) = (g.node_label(e.u), g.node_label(e.v));
                 // Orient so `from` carries the smaller label; keep the
@@ -110,34 +100,6 @@ impl LabelPairIndex {
                 if entry.tids.last() != Some(&(gid as u32)) {
                     entry.tids.push(gid as u32);
                 }
-            }
-        }
-        Self {
-            entries: map.into_values().collect(),
-            compiled: OnceLock::new(),
-        }
-    }
-
-    /// Merge per-shard indexes into one database-wide index.
-    ///
-    /// `parts` must have been built over adjacent ascending gid ranges, in
-    /// range order (shard order). Keys are already sorted within each part,
-    /// and each part's occurrences carry global gids, so the merge is a
-    /// k-way key merge with per-key concatenation in part order — producing
-    /// byte-for-byte the index a single [`build`](Self::build) over the
-    /// whole database yields. The compiled-database cache starts empty.
-    pub fn merge(parts: &[&LabelPairIndex]) -> Self {
-        let mut map: std::collections::BTreeMap<LabelTriple, LabelPairEntry> =
-            std::collections::BTreeMap::new();
-        for part in parts {
-            for entry in part.entries() {
-                let merged = map.entry(entry.key).or_insert_with(|| LabelPairEntry {
-                    key: entry.key,
-                    occurrences: Vec::new(),
-                    tids: Vec::new(),
-                });
-                merged.occurrences.extend_from_slice(&entry.occurrences);
-                merged.tids.extend_from_slice(&entry.tids);
             }
         }
         Self {
@@ -293,35 +255,6 @@ mod tests {
         let idx = LabelPairIndex::build(&GraphDb::new());
         assert!(idx.is_empty());
         assert_eq!(idx.frequent(1).count(), 0);
-    }
-
-    #[test]
-    fn merged_shard_indexes_equal_the_full_build() {
-        let db = tiny_db();
-        let full = LabelPairIndex::build(&db);
-        // Every way of cutting the 3-graph db into contiguous shards.
-        for cuts in [vec![0..1, 1..2, 2..3], vec![0..2, 2..3], vec![0..1, 1..3]] {
-            let parts: Vec<LabelPairIndex> = cuts
-                .iter()
-                .map(|r| LabelPairIndex::build_range(&db, r.clone()))
-                .collect();
-            let refs: Vec<&LabelPairIndex> = parts.iter().collect();
-            let merged = LabelPairIndex::merge(&refs);
-            assert_eq!(merged.entries(), full.entries(), "cuts {cuts:?}");
-        }
-        // Degenerate merges.
-        assert_eq!(LabelPairIndex::merge(&[]).entries(), [].as_slice());
-        assert_eq!(LabelPairIndex::merge(&[&full]).entries(), full.entries());
-    }
-
-    #[test]
-    fn build_range_records_global_gids() {
-        let db = tiny_db();
-        let tail = LabelPairIndex::build_range(&db, 2..3);
-        assert!(tail
-            .entries()
-            .iter()
-            .all(|e| e.tids == vec![2] && e.occurrences.iter().all(|o| o.gid == 2)));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Chaos soak harness (`graphsig serve --chaos`, `bench_chaos`).
+//! Chaos soak harness (`bench_chaos`).
 //!
 //! Runs seeded randomized schedules that interleave every failure path
 //! the serving stack defends against, and asserts the invariants that

@@ -1,20 +1,17 @@
 //! The scheduling model: every admitted work request becomes a *flight* —
-//! one or more work units, answered to one or more riders.
+//! exactly one work unit, answered to one or more riders.
 //!
-//! * A solo request is a flight with one unit and one rider.
+//! * A solo request is a flight with one rider.
 //! * An unbudgeted `mine` keys its flight by [`MineKey`] when it reaches a
 //!   worker. Identical mines that reach a worker while it runs join it as
 //!   riders and free their worker at once: the pipeline runs once and
 //!   every rider's response is rendered from the one outcome —
 //!   byte-identical to a solo run, because the output for a fixed config is
 //!   deterministic and only the render cap (`top=`) differs per rider.
-//! * A `sweep` adds one unit per threshold to the low-priority lane, which
-//!   workers drain only when no fresh request waits: a long sweep can fill
-//!   idle workers but never starves fresh work.
 //!
-//! When a flight's last unit finishes, [`Scheduler::settle`] hands its
-//! riders and [`Ending`] to the server's single completion path, which
-//! renders one response per rider. Cancelling a rider of a coalesced run
+//! When a flight's unit finishes, [`Scheduler::settle`] hands its riders
+//! to the server's single completion path, which renders one response per
+//! rider from the unit's [`Ending`]. Cancelling a rider of a coalesced run
 //! detaches it at once (it answers `truncated (cancelled)`); the run's
 //! token falls only with its last rider, and the key is dropped at that
 //! instant so a newcomer leads a fresh run instead of joining a doomed
@@ -30,11 +27,11 @@
 //!
 //! # Locks
 //!
-//! [`Scheduler`] has one mutex over both lanes, the request id → flight
-//! map and the coalescing index; each flight has a mutex over its riders
-//! and ending. A flight lock is taken alone or under the scheduler lock,
-//! never two flight locks at once. Under the scheduler lock, admission
-//! also takes the registry lock for the request's load-order ticket.
+//! [`Scheduler`] has one mutex over the queue, the request id → flight
+//! map and the coalescing index; each flight has a mutex over its riders.
+//! A flight lock is taken alone or under the scheduler lock, never two
+//! flight locks at once. Under the scheduler lock, admission also takes
+//! the registry lock for the request's load-order ticket.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -44,8 +41,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use graphsig_core::{
-    render_subgraphs, Budget, CacheDisposition, CancelToken, Completion, GraphSigResult, Outcome,
-    WindowKey,
+    render_subgraphs, Budget, CacheDisposition, CancelToken, GraphSigResult, Outcome, WindowKey,
 };
 use graphsig_fsg::{Fsg, FsgConfig};
 use graphsig_graph::{GraphDb, LabelPairIndex};
@@ -109,8 +105,7 @@ pub(crate) struct Rider {
     pub(crate) out: SharedWriter,
     /// Per-rider `top=` render cap (`mine` only).
     top: usize,
-    /// How it took part, for the request log: `solo`, `lead`, `rider` or
-    /// `sweep`.
+    /// How it took part, for the request log: `solo`, `lead` or `rider`.
     pub(crate) role: &'static str,
     /// Microseconds from submission until its request reached a worker.
     pub(crate) waited_us: u64,
@@ -131,14 +126,9 @@ pub(crate) struct Flight {
 
 struct FlightState {
     riders: Vec<Rider>,
-    /// Units queued or running; the flight ends when the last finishes.
-    pending: usize,
     /// Set while the flight leads a coalesced run, which riders may join
     /// and detach from.
     shared: Option<(MineKey, Arc<Dataset>)>,
-    ending: Option<Ending>,
-    /// Execute time summed over the flight's units.
-    exec_us: u64,
 }
 
 impl Flight {
@@ -148,50 +138,12 @@ impl Flight {
             rider.waited_us = waited_us;
         }
     }
-
-    /// Store sweep threshold `i`'s outcome.
-    pub(crate) fn record(&self, i: usize, outcome: Outcome<Vec<Pattern>>) {
-        if let Some(Ending::Sweep(_, outcomes)) = &mut lock(&self.state).ending {
-            outcomes[i] = Some(outcome);
-        }
-    }
 }
 
-/// What a worker runs: a flight's request, or one threshold of its sweep.
+/// What a worker runs: one flight's request.
 pub(crate) struct Unit {
     pub(crate) flight: Arc<Flight>,
-    pub(crate) work: Work,
-}
-
-pub(crate) enum Work {
-    Request(Request),
-    Threshold(Arc<SweepPlan>, usize),
-}
-
-/// Everything a sweep's threshold units share.
-pub(crate) struct SweepPlan {
-    pub(crate) dataset: Arc<Dataset>,
-    /// One index build shared by every threshold — the point of the op.
-    pub(crate) index: Arc<LabelPairIndex>,
-    pub(crate) params: FreqParams,
-    /// One budget governs the whole sweep: the deadline spans every
-    /// threshold, and step allowances stay per unit (each clones it, so
-    /// an unbudgeted sweep matches individual `freq` calls).
-    pub(crate) budget: Budget,
-    pub(crate) supports: Vec<usize>,
-}
-
-impl SweepPlan {
-    /// Mine threshold `i`.
-    pub(crate) fn run(&self, i: usize) -> Outcome<Vec<Pattern>> {
-        run_freq(
-            &self.dataset.db,
-            &self.index,
-            self.supports[i],
-            &self.params,
-            self.budget.clone(),
-        )
-    }
+    pub(crate) request: Request,
 }
 
 /// How one governed pipeline run ended.
@@ -209,9 +161,7 @@ pub(crate) enum Ending {
     /// A pipeline run over a dataset version; rendering (`top=`) is the
     /// only per-rider step.
     Mine(Arc<Dataset>, MineRun),
-    /// A sweep's outcomes, one per threshold, assembled in support order.
-    Sweep(Arc<SweepPlan>, Vec<Option<Outcome<Vec<Pattern>>>>),
-    /// A unit of the flight panicked.
+    /// The flight's unit panicked.
     Panicked { op: &'static str, message: String },
 }
 
@@ -230,32 +180,6 @@ impl Ending {
                 .with_field("cached", disposition)
                 .with_field("subgraphs", outcome.result.subgraphs.len())
                 .with_payload(render_subgraphs(&dataset.db, &outcome.result, rider.top)),
-            Ending::Sweep(plan, outcomes) => {
-                let mut payload = String::new();
-                let mut completion = Completion::Complete;
-                let mut total = 0usize;
-                for (support, outcome) in plan.supports.iter().zip(outcomes) {
-                    let Some(outcome) = outcome else { continue };
-                    completion = completion.merge(outcome.completion);
-                    total += outcome.result.len();
-                    // Marker line, then the exact bytes an individual
-                    // `freq` call at this threshold would have produced.
-                    let _ = writeln!(
-                        payload,
-                        "# sweep support {support}: {} patterns ({})",
-                        outcome.result.len(),
-                        outcome.completion
-                    );
-                    payload.push_str(&render_patterns(&plan.dataset.db, &outcome.result));
-                }
-                plan.dataset
-                    .ok_response(&rider.id, "sweep")
-                    .with_field("completion", completion)
-                    .with_field("supports", plan.supports.len())
-                    .with_field("patterns", total)
-                    .with_field("index_types", plan.index.len())
-                    .with_payload(payload)
-            }
             Ending::Panicked { op, message } => Response::error(
                 &rider.id,
                 op,
@@ -325,7 +249,7 @@ pub(crate) fn render_patterns(db: &GraphDb, patterns: &[Pattern]) -> String {
 pub(crate) enum Refusal {
     /// Intake is closed (shutdown).
     Closed,
-    /// The fresh lane is full; carries its depth.
+    /// The queue is full; carries its depth.
     Busy(usize),
     /// A request with this id is still in flight.
     Duplicate,
@@ -349,18 +273,14 @@ pub(crate) enum Cancelled {
     /// The target's flight token was cancelled; its run answers.
     Signalled,
     /// The target rode a coalesced run and detached: answer it now with
-    /// the run's dataset and execute time so far.
-    Detached(Rider, Arc<Dataset>, u64),
+    /// the run's dataset.
+    Detached(Rider, Arc<Dataset>),
 }
 
 #[derive(Default)]
-struct Lanes {
+struct Queue {
     /// Admitted requests, FIFO and bounded by `capacity`.
-    fresh: VecDeque<Unit>,
-    /// Sweep thresholds, drained only when `fresh` is empty. Bounded by
-    /// the threshold counts of admitted sweeps, not by `capacity`: the
-    /// capacity check already admitted each sweep as one request.
-    low: VecDeque<Unit>,
+    units: VecDeque<Unit>,
     /// Units executing.
     active: usize,
     /// Intake stopped (shutdown).
@@ -371,12 +291,12 @@ struct Lanes {
     mines: HashMap<MineKey, Arc<Flight>>,
 }
 
-/// The lanes, the id map and the coalescing index behind one lock.
+/// The queue, the id map and the coalescing index behind one lock.
 pub(crate) struct Scheduler {
-    lanes: Mutex<Lanes>,
+    queue: Mutex<Queue>,
     /// Wakes workers when a unit is queued (or termination is flagged).
     work_cv: Condvar,
-    /// Wakes the drain when both lanes are empty and no unit runs.
+    /// Wakes the drain when the queue is empty and no unit runs.
     idle_cv: Condvar,
     capacity: usize,
     /// Workers exit once set (after the drain).
@@ -396,7 +316,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Scheduler {
     pub(crate) fn new(capacity: usize) -> Self {
         Scheduler {
-            lanes: Mutex::new(Lanes::default()),
+            queue: Mutex::new(Queue::default()),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             capacity,
@@ -406,26 +326,26 @@ impl Scheduler {
         }
     }
 
-    /// Admit `request` as a new flight at the back of the fresh lane. The
-    /// id is registered only once admitted, so a `cancel` never finds a
-    /// refused request.
+    /// Admit `request` as a new flight at the back of the queue. The id is
+    /// registered only once admitted, so a `cancel` never finds a refused
+    /// request.
     pub(crate) fn admit(
         &self,
         request: Request,
         out: &SharedWriter,
         registry: &Registry,
     ) -> Result<(), Refusal> {
-        let mut lanes = lock(&self.lanes);
-        if lanes.closed {
+        let mut queue = lock(&self.queue);
+        if queue.closed {
             return Err(Refusal::Closed);
         }
-        if lanes.fresh.len() >= self.capacity {
-            return Err(Refusal::Busy(lanes.fresh.len()));
+        if queue.units.len() >= self.capacity {
+            return Err(Refusal::Busy(queue.units.len()));
         }
-        if lanes.ids.contains_key(request.id()) {
+        if queue.ids.contains_key(request.id()) {
             return Err(Refusal::Duplicate);
         }
-        // Taken under the lanes lock so tickets follow queue order: a
+        // Taken under the queue lock so tickets follow queue order: a
         // request never waits on a load queued behind it.
         let ticket = request.dataset().map_or(0, |name| {
             registry.ticket(name, matches!(request, Request::Load(_)))
@@ -449,51 +369,44 @@ impl Scheduler {
             ticket,
             state: Mutex::new(FlightState {
                 riders: vec![rider],
-                pending: 1,
                 shared: None,
-                ending: None,
-                exec_us: 0,
             }),
         });
-        lanes.ids.insert(id, Arc::clone(&flight));
-        lanes.fresh.push_back(Unit {
-            flight,
-            work: Work::Request(request),
-        });
-        drop(lanes);
+        queue.ids.insert(id, Arc::clone(&flight));
+        queue.units.push_back(Unit { flight, request });
+        drop(queue);
         self.work_cv.notify_one();
         Ok(())
     }
 
-    /// The next unit to run — fresh requests before sweep thresholds — or
-    /// `None` once the scheduler has terminated.
+    /// The next unit to run, or `None` once the scheduler has terminated.
     pub(crate) fn next(&self) -> Option<Unit> {
-        let mut lanes = lock(&self.lanes);
+        let mut queue = lock(&self.queue);
         loop {
-            if let Some(unit) = lanes.fresh.pop_front().or_else(|| lanes.low.pop_front()) {
-                lanes.active += 1;
+            if let Some(unit) = queue.units.pop_front() {
+                queue.active += 1;
                 return Some(unit);
             }
             if self.terminated.load(Ordering::Relaxed) {
                 return None;
             }
-            lanes = self.work_cv.wait(lanes).unwrap_or_else(|e| e.into_inner());
+            queue = self.work_cv.wait(queue).unwrap_or_else(|e| e.into_inner());
         }
     }
 
-    /// A unit taken by [`Scheduler::next`] has finished (and its flight,
-    /// if it was the last unit, has been answered).
+    /// A unit taken by [`Scheduler::next`] has finished and its flight has
+    /// been answered.
     pub(crate) fn unit_done(&self) {
-        let mut lanes = lock(&self.lanes);
-        lanes.active -= 1;
-        if lanes.active == 0 && lanes.fresh.is_empty() && lanes.low.is_empty() {
+        let mut queue = lock(&self.queue);
+        queue.active -= 1;
+        if queue.active == 0 && queue.units.is_empty() {
             self.idle_cv.notify_all();
         }
     }
 
     /// Seat an unbudgeted `mine`: ride the identical run already in
     /// flight, or lead a new one that later identical mines can join.
-    /// The cancel check sits under the lanes lock, so a racing `cancel`
+    /// The cancel check sits under the queue lock, so a racing `cancel`
     /// lands either before it (seen here) or on the joined run (detach).
     pub(crate) fn coalesce(
         &self,
@@ -501,15 +414,15 @@ impl Scheduler {
         key: MineKey,
         dataset: &Arc<Dataset>,
     ) -> Seat {
-        let mut lanes = lock(&self.lanes);
+        let mut queue = lock(&self.queue);
         if flight.token.is_cancelled() {
             return Seat::Cancelled;
         }
-        if let Some(leader) = lanes.mines.get(&key).cloned() {
+        if let Some(leader) = queue.mines.get(&key).cloned() {
             let mut riders = std::mem::take(&mut lock(&flight.state).riders);
             for rider in &mut riders {
                 rider.role = "rider";
-                lanes.ids.insert(rider.id.clone(), Arc::clone(&leader));
+                queue.ids.insert(rider.id.clone(), Arc::clone(&leader));
             }
             lock(&leader.state).riders.append(&mut riders);
             self.riders.fetch_add(1, Ordering::Relaxed);
@@ -521,73 +434,28 @@ impl Scheduler {
         }
         st.shared = Some((key.clone(), Arc::clone(dataset)));
         drop(st);
-        lanes.mines.insert(key, Arc::clone(flight));
+        queue.mines.insert(key, Arc::clone(flight));
         self.leads.fetch_add(1, Ordering::Relaxed);
         Seat::Run
     }
 
-    /// Queue one low-priority unit per threshold of `flight`'s sweep.
-    pub(crate) fn fan_out(&self, flight: &Arc<Flight>, plan: SweepPlan) {
-        let plan = Arc::new(plan);
-        let n = plan.supports.len();
-        {
-            let mut st = lock(&flight.state);
-            st.pending += n;
-            for rider in &mut st.riders {
-                rider.role = "sweep";
-            }
-            st.ending = Some(Ending::Sweep(
-                Arc::clone(&plan),
-                (0..n).map(|_| None).collect(),
-            ));
-        }
-        let units = (0..n).map(|i| Unit {
-            flight: Arc::clone(flight),
-            work: Work::Threshold(Arc::clone(&plan), i),
-        });
-        lock(&self.lanes).low.extend(units);
-        self.work_cv.notify_all();
-    }
-
-    /// One of `flight`'s units finished, with the ending it produced (none
-    /// for a threshold, a fan-out or a request that joined another run).
-    /// The first panic wins. When this was the last unit, returns the
-    /// riders still attached, the ending and the flight's execute time —
-    /// and closes a coalesced run to newcomers: riders collected here are
-    /// answered from this outcome; a later identical request leads afresh.
-    pub(crate) fn settle(
-        &self,
-        flight: &Flight,
-        ending: Option<Ending>,
-        exec_us: u64,
-    ) -> Option<(Vec<Rider>, Ending, u64)> {
-        let mut lanes = lock(&self.lanes);
+    /// `flight`'s unit ended: return the riders still attached, and close
+    /// a coalesced run to newcomers. Riders collected here are answered
+    /// from this unit's ending; a later identical request leads afresh.
+    pub(crate) fn settle(&self, flight: &Flight) -> Vec<Rider> {
+        let mut queue = lock(&self.queue);
         let mut st = lock(&flight.state);
-        st.exec_us += exec_us;
-        if !matches!(st.ending, Some(Ending::Panicked { .. })) {
-            if let Some(ending) = ending {
-                st.ending = Some(ending);
-            }
-        }
-        st.pending -= 1;
-        if st.pending > 0 {
-            return None;
-        }
         if let Some((key, _)) = st.shared.take() {
-            lanes.mines.remove(&key);
+            queue.mines.remove(&key);
         }
-        let riders = std::mem::take(&mut st.riders);
-        // Only a flight whose request joined another run ends without an
-        // ending, and it has no riders left.
-        let ending = st.ending.take()?;
-        Some((riders, ending, st.exec_us))
+        std::mem::take(&mut st.riders)
     }
 
     /// `cancel target`: detach a rider of a coalesced run, or cancel the
     /// token of any other admitted request's flight.
     pub(crate) fn cancel(&self, target: &str) -> Cancelled {
-        let mut lanes = lock(&self.lanes);
-        let Some(flight) = lanes.ids.get(target).cloned() else {
+        let mut queue = lock(&self.queue);
+        let Some(flight) = queue.ids.get(target).cloned() else {
             return Cancelled::Unknown;
         };
         let mut st = lock(&flight.state);
@@ -605,21 +473,21 @@ impl Scheduler {
             // so an identical newcomer leads a fresh run.
             flight.token.cancel();
             if let Some((key, _)) = st.shared.take() {
-                lanes.mines.remove(&key);
+                queue.mines.remove(&key);
             }
         }
-        Cancelled::Detached(rider, dataset, st.exec_us)
+        Cancelled::Detached(rider, dataset)
     }
 
     /// Free answered riders' ids for reuse.
     pub(crate) fn release(&self, riders: &[Rider]) {
-        let mut lanes = lock(&self.lanes);
+        let mut queue = lock(&self.queue);
         for rider in riders {
-            lanes.ids.remove(&rider.id);
+            queue.ids.remove(&rider.id);
         }
     }
 
-    /// Close intake and wait until both lanes are empty and no unit runs.
+    /// Close intake and wait until the queue is empty and no unit runs.
     /// Past the drain deadline every admitted flight's token is cancelled
     /// once — each request still answers structured (`truncated
     /// (cancelled)`), cooperative cancellation is just not instant — and
@@ -628,11 +496,11 @@ impl Scheduler {
     pub(crate) fn drain(&self, drain_ms: u64) -> bool {
         let deadline = Instant::now() + Duration::from_millis(drain_ms);
         let mut forced = false;
-        let mut lanes = lock(&self.lanes);
-        lanes.closed = true;
-        while lanes.active > 0 || !lanes.fresh.is_empty() || !lanes.low.is_empty() {
+        let mut queue = lock(&self.queue);
+        queue.closed = true;
+        while queue.active > 0 || !queue.units.is_empty() {
             if !forced && Instant::now() >= deadline {
-                for flight in lanes.ids.values() {
+                for flight in queue.ids.values() {
                     flight.token.cancel();
                 }
                 forced = true;
@@ -645,16 +513,16 @@ impl Scheduler {
                     .min(Duration::from_millis(50))
                     .max(Duration::from_millis(1))
             };
-            lanes = self
+            queue = self
                 .idle_cv
-                .wait_timeout(lanes, wait)
+                .wait_timeout(queue, wait)
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
         }
-        // Set under the lanes lock, so no worker can miss the wakeup
+        // Set under the queue lock, so no worker can miss the wakeup
         // between its check in `next` and its wait.
         self.terminated.store(true, Ordering::Relaxed);
-        drop(lanes);
+        drop(queue);
         self.work_cv.notify_all();
         forced
     }
@@ -663,9 +531,9 @@ impl Scheduler {
         self.terminated.load(Ordering::Relaxed)
     }
 
-    /// `(fresh units queued, units executing, threshold units queued)`.
-    pub(crate) fn depths(&self) -> (usize, usize, usize) {
-        let lanes = lock(&self.lanes);
-        (lanes.fresh.len(), lanes.active, lanes.low.len())
+    /// `(units queued, units executing)`.
+    pub(crate) fn depths(&self) -> (usize, usize) {
+        let queue = lock(&self.queue);
+        (queue.units.len(), queue.active)
     }
 }

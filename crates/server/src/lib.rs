@@ -16,34 +16,27 @@
 //!   [`CancelToken`](graphsig_core::CancelToken)s under server-enforced
 //!   ceilings, panic isolation per request, and graceful drain on
 //!   shutdown. Its two halves are private modules: `flight`, the one
-//!   scheduling model (every admitted request is a flight of work units
-//!   answered to one or more riders — solo requests, coalesced identical
-//!   `mine`s, and `sweep`s fanned out into low-priority threshold units),
-//!   and `registry`, the resident datasets (a shared
-//!   [`PreparedCache`](graphsig_core::PreparedCache) +
-//!   [`LabelPairIndex`](graphsig_graph::LabelPairIndex) per dataset with
-//!   versioned invalidation on `load`, load ordering, and the memory
-//!   admission governor).
+//!   scheduling model (every admitted request is a flight of exactly one
+//!   work unit answered to one or more riders — solo requests and
+//!   coalesced identical `mine`s), and `registry`, the resident datasets
+//!   (one shared [`PreparedCache`](graphsig_core::PreparedCache) +
+//!   [`LabelPairIndex`](graphsig_graph::LabelPairIndex) per dataset
+//!   version with versioned invalidation on `load`, load ordering, and the
+//!   memory admission governor).
 //! * [`transport`] — the event-driven TCP front end: one readiness loop
 //!   (`poll(2)`) multiplexes every connection, so idle connections cost a
 //!   file descriptor and a buffer, not a thread, and slow consumers are
 //!   bounded by per-connection write buffers instead of blocking workers.
-//!
-//! [`smoke::run`] is the fault-injection self-test CI gates on: mixed
-//! budgets under concurrency, an injected panic, a mid-flight
-//! cancellation, queue-full rejection, and a drained shutdown — every
-//! request must resolve to a structured response with the server alive
-//! until the drain completes. [`chaos::run`] goes further: seeded
-//! randomized schedules driving the store fault plane, mid-ingest kills,
-//! the memory admission governor, and connection lifecycle deadlines —
-//! the soak CI gates on via `bench_chaos --smoke`.
+//! * [`chaos`] — the seeded soak behind `bench_chaos`: randomized
+//!   schedules driving the store fault plane, mid-ingest kills, the memory
+//!   admission governor, and connection lifecycle deadlines. With the
+//!   crate's integration tests it is the server's only self-test.
 
 pub mod chaos;
 pub(crate) mod flight;
 pub mod protocol;
 pub(crate) mod registry;
 pub mod server;
-pub mod smoke;
 pub mod transport;
 
 pub use protocol::{

@@ -22,10 +22,10 @@
 //!
 //! | op | keys |
 //! |---|---|
-//! | `load` | `dataset=` plus `path=` *or* `gen=aids count= [seed=]`; `[format=text\|packed]` (`packed` opens a sharded store directory leniently — damaged shards are quarantined and the dataset serves degraded); `[append=true]` extends the resident dataset instead of replacing it (existing per-segment index caches are kept, only the new graphs are indexed) |
-//! | `mine` | `dataset=` `[max_pvalue=] [min_freq=] [radius=] [fsm_freq=] [backend=fsg\|gspan] [threads=] [top=] [timeout_ms=] [max_steps=]` (+ fault-injection keys `sleep_ms=` / `inject=panic`, only honored when the server enables them) |
-//! | `freq` | `dataset=` `min_support=` `[backend=] [max_edges=] [max_patterns=] [timeout_ms=] [max_steps=]` |
-//! | `sweep` | `dataset=` `supports=<s1,s2,...>` `[backend=] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]` — one `freq` run per threshold over one shared index build; per-threshold payload segments are byte-identical to individual `freq` calls |
+//! | `load` | `dataset=` plus `path=` *or* `gen=aids count= [seed=]`; `[format=text\|packed]` (`packed` opens a sharded store directory leniently — damaged shards are quarantined and the dataset serves degraded); `[append=true]` extends the resident dataset instead of replacing it (as a new version, which builds its own caches) |
+//! | `mine` | `dataset=` `[max_pvalue=] [min_freq=] [radius=] [fsm_freq=] [backend=fsg\|gspan] [threads=] [top=] [timeout_ms=] [max_steps=]` (+ fault-injection keys `sleep_ms=` / `inject=panic`, only honored when the server enables them); `threads=` is clamped to the server's core count (0 = auto) |
+//! | `freq` | `dataset=` `min_support=` `[backend=] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]`; `threads=` clamped as for `mine` |
+//! | `sweep` | `dataset=` `supports=<s1,s2,...>` `[backend=] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]` — one `freq` run per threshold, in order on one worker, over one shared index build; per-threshold payload segments are byte-identical to individual `freq` calls; `threads=` clamped as for `mine` |
 //! | `stats` | `[dataset=]` |
 //! | `cancel` | `target=<request id>` |
 //! | `ping` | — |

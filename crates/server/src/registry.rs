@@ -1,5 +1,7 @@
 //! The dataset registry: every resident dataset version, the order in
-//! which loads of one name commit, and the memory admission governor.
+//! which loads of one name commit, and the memory admission governor. A
+//! version holds one prepared-window cache and one label-pair index, both
+//! built on first use over the version's whole db.
 //!
 //! # Lock discipline
 //!
@@ -18,13 +20,12 @@
 //! admitted so far (a load counts itself after taking its ticket). Before
 //! it resolves X it waits until that many loads of X have committed. Loads
 //! of one name therefore commit in admission order, and an append always
-//! extends the version just before it. The wait cannot deadlock: the fresh
-//! lane is FIFO and tickets are taken in queue order, so the load waited
+//! extends the version just before it. The wait cannot deadlock: the
+//! queue is FIFO and tickets are taken in queue order, so the load waited
 //! on was dequeued earlier and is already running; [`LoadTurn`] commits it
 //! when dropped, on every ending (ok, error or panic).
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
@@ -32,33 +33,6 @@ use graphsig_core::PreparedCache;
 use graphsig_graph::{GraphDb, LabelPairIndex};
 
 use crate::protocol::{Response, Status};
-
-/// One contiguous ingest segment of a dataset (a store shard, or one
-/// text/generator load batch) with its lazily built slice of the
-/// label-pair index. Slots are `Arc`-shared across `load append=`
-/// versions: appending keeps every already-built segment index and only
-/// the new graphs are ever indexed — per-shard, not wholesale,
-/// invalidation.
-struct IndexSlot {
-    /// Graph index range within the dataset's db.
-    range: Range<usize>,
-    index: OnceLock<Arc<LabelPairIndex>>,
-}
-
-impl IndexSlot {
-    fn new(range: Range<usize>) -> Arc<Self> {
-        Arc::new(IndexSlot {
-            range,
-            index: OnceLock::new(),
-        })
-    }
-
-    fn get(&self, db: &GraphDb) -> Arc<LabelPairIndex> {
-        self.index
-            .get_or_init(|| Arc::new(LabelPairIndex::build_range(db, self.range.clone())))
-            .clone()
-    }
-}
 
 /// Provenance of a dataset loaded from a packed store (`format=packed`).
 /// Appends *merge* rather than replace this (see [`LoadTurn::install`]),
@@ -87,8 +61,8 @@ impl StoreInfo {
 }
 
 /// One resident dataset version: the graphs plus every cache keyed to
-/// exactly this data. Replaced on `load`; `append=true` carries the old
-/// segment index slots into the new version.
+/// exactly this data. Replaced on `load`, `append=true` included: every
+/// version builds its own caches.
 pub(crate) struct Dataset {
     pub(crate) name: String,
     pub(crate) version: u64,
@@ -97,51 +71,31 @@ pub(crate) struct Dataset {
     /// checks never re-walk the graphs.
     pub(crate) db_bytes: u64,
     pub(crate) prepared: PreparedCache,
-    /// Merged whole-dataset index, assembled from the slots on first use.
+    /// The version's one label-pair index, built on first use.
     index: OnceLock<Arc<LabelPairIndex>>,
-    /// Per-segment lazy indexes, in deterministic segment (gid) order.
-    slots: Vec<Arc<IndexSlot>>,
     /// Set when the dataset came (in part) from a packed store.
     store: Option<StoreInfo>,
 }
 
 impl Dataset {
-    /// The shared label-pair index, built on first use by merging the
-    /// per-segment indexes in segment order. Because segment ranges tile
-    /// the db contiguously, the merge is exactly equal to a full build
-    /// (unit-tested in `graphsig_graph::index`). The `OnceLock` is also
-    /// the coalescing point for concurrent `freq`/`sweep` requests: the
-    /// first builder runs alone, everyone else blocks briefly and shares
-    /// the one build.
+    /// The shared label-pair index, built over the whole db on first use.
+    /// The `OnceLock` is also the coalescing point for concurrent
+    /// `freq`/`sweep` requests: the first builder runs alone, everyone
+    /// else blocks briefly and shares the one build.
     pub(crate) fn index(&self) -> Arc<LabelPairIndex> {
         self.index
-            .get_or_init(|| match self.slots.as_slice() {
-                [] => Arc::new(LabelPairIndex::build(&self.db)),
-                [only] => only.get(&self.db),
-                slots => {
-                    let parts: Vec<Arc<LabelPairIndex>> =
-                        slots.iter().map(|s| s.get(&self.db)).collect();
-                    let refs: Vec<&LabelPairIndex> = parts.iter().map(Arc::as_ref).collect();
-                    Arc::new(LabelPairIndex::merge(&refs))
-                }
-            })
+            .get_or_init(|| Arc::new(LabelPairIndex::build(&self.db)))
             .clone()
     }
 
     /// Approximate resident bytes this dataset version pins: the graphs,
-    /// every initialized prepared-window cache entry, each built segment
-    /// index, and the merged index (with its lazily compiled bitset
-    /// database). Estimates, not an allocator audit — the governor's
-    /// admission decisions only need relative magnitudes.
+    /// every initialized prepared-window cache entry, and the index (with
+    /// its lazily compiled bitset database) once built. Estimates, not an
+    /// allocator audit — the governor's admission decisions only need
+    /// relative magnitudes.
     fn resident_bytes(&self) -> u64 {
-        let slots: u64 = self
-            .slots
-            .iter()
-            .filter_map(|s| s.index.get())
-            .map(|i| i.approx_resident_bytes())
-            .sum();
-        let merged = self.index.get().map_or(0, |i| i.approx_resident_bytes());
-        self.db_bytes + self.prepared.approx_bytes() + slots + merged
+        let index = self.index.get().map_or(0, |i| i.approx_resident_bytes());
+        self.db_bytes + self.prepared.approx_bytes() + index
     }
 
     /// `quarantined/total` when the backing store lost shards, else None.
@@ -193,14 +147,6 @@ impl Dataset {
             .with_field("graphs", s.graph_count)
             .with_field("nodes", s.total_nodes)
             .with_field("edges", s.total_edges)
-            .with_field("segments", self.slots.len())
-            .with_field(
-                "segments_indexed",
-                self.slots
-                    .iter()
-                    .filter(|s| s.index.get().is_some())
-                    .count(),
-            )
             .with_field("prepared_hits", cache.hits)
             .with_field("prepared_misses", cache.misses)
             .with_field("prepared_bypasses", cache.bypasses)
@@ -332,9 +278,8 @@ pub(crate) struct LoadTurn<'a> {
 impl LoadTurn<'_> {
     /// Make the next version of this turn's dataset resident. `db` holds
     /// the graphs of `base` (the current version for an append, `None` for
-    /// a fresh load) followed by the new batch; `shards` gives a packed
-    /// batch's absolute per-shard graph ranges (one index slot each —
-    /// `None` gives the batch one slot) and `store` its provenance.
+    /// a fresh load) followed by the new batch; `store` is a packed batch's
+    /// provenance.
     /// Admission is atomic: the ceiling check, the LRU eviction of cold
     /// prepared-cache entries and the insert happen under one lock, so two
     /// concurrent loads can never both pass a ceiling only one of them
@@ -344,7 +289,6 @@ impl LoadTurn<'_> {
         &self,
         base: Option<&Dataset>,
         db: GraphDb,
-        shards: Option<Vec<Range<usize>>>,
         store: Option<StoreInfo>,
     ) -> Result<Arc<Dataset>, Exhausted> {
         // Store provenance survives appends: a text/generator append onto
@@ -361,19 +305,6 @@ impl LoadTurn<'_> {
                 store_version: current.store_version,
             }),
         };
-        // Appends keep the base version's slots (their built indexes stay
-        // valid — old graphs and label ids are untouched) and gain one slot
-        // per new shard (packed) or one for the new batch (text/generator),
-        // so invalidation stays shard-grained however the dataset was built.
-        let mut slots = base.map_or_else(Vec::new, |d| d.slots.clone());
-        let (base_len, graphs) = (base.map_or(0, |d| d.db.len()), db.len());
-        match shards {
-            Some(ranges) => slots.extend(ranges.into_iter().map(IndexSlot::new)),
-            None if graphs > base_len || slots.is_empty() => {
-                slots.push(IndexSlot::new(base_len..graphs))
-            }
-            None => {}
-        }
         let db_bytes = db.approx_resident_bytes();
         let registry = self.registry;
         let mut st = lock(&registry.state);
@@ -411,7 +342,6 @@ impl LoadTurn<'_> {
             db_bytes,
             prepared: PreparedCache::new(),
             index: OnceLock::new(),
-            slots,
             store,
         });
         st.datasets.insert(self.name.clone(), Arc::clone(&dataset));

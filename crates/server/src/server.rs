@@ -13,10 +13,11 @@
 //!   visible to `cancel`: its id is registered only on admission, so
 //!   `found=true` always means "the server accepted this id".
 //! * **One scheduling model.** Every admitted request becomes a flight
-//!   (see the `flight` module): solo requests, coalesced `mine` runs shared
-//!   by identical concurrent requests, and `sweep`s fanned out into
-//!   low-priority threshold units. One completion path answers every
-//!   admitted request, whichever way its flight ended.
+//!   of exactly one work unit (see the `flight` module): solo requests,
+//!   and coalesced `mine` runs shared by identical concurrent requests. A
+//!   `sweep` runs its thresholds in order on its one worker. One
+//!   completion path answers every admitted request, whichever way its
+//!   flight ended.
 //! * **Load ordering.** A request naming dataset X sees every `load` of X
 //!   admitted before it, from any connection (see the `registry` module).
 //! * **Per-request governance.** Every flight carries its own
@@ -35,27 +36,32 @@
 //!   deadline (those requests respond `truncated (cancelled)` — still a
 //!   structured response, never a silent drop), and only then confirms.
 //! * **Shared state with versioned invalidation.** Each resident dataset
-//!   owns a [`PreparedCache`](graphsig_core::PreparedCache) (window passes)
-//!   and a lazily built label-pair index shared by `freq`/`sweep`. `load`
-//!   replaces the whole entry under a bumped version: in-flight requests
-//!   keep mining their pinned `Arc` snapshot, new requests see the new
-//!   version, and the old caches die with their last reference.
+//!   version owns a [`PreparedCache`](graphsig_core::PreparedCache) (window
+//!   passes) and one lazily built label-pair index shared by
+//!   `freq`/`sweep`. `load` replaces the whole entry under a bumped
+//!   version: in-flight requests keep mining their pinned `Arc` snapshot,
+//!   new requests see the new version, and the old caches die with their
+//!   last reference.
 //! * **Observability.** `stats` (no dataset) reports per-op acceptance
-//!   counters, cumulative queue-wait and execute times, coalesce
-//!   lead/rider counts and queued threshold units; `--log` writes one line
-//!   per answered request with its role, queue wait and execute time.
+//!   counters, cumulative queue-wait and execute times, and coalesce
+//!   lead/rider counts; `--log` writes one line per answered request with
+//!   its role, queue wait and execute time.
+//! * **Bounded fan-out.** A request's `threads=` is clamped to the core
+//!   count (see `request_threads`): the value arrives from the network,
+//!   and the pipeline spreads it over outer × inner workers.
 
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use graphsig_core::{Budget, CancelToken, FsmBackend, GraphSigConfig};
+use graphsig_core::{Budget, CancelToken, Completion, FsmBackend, GraphSigConfig};
 use graphsig_graph::{parse_transactions_into, GraphDb};
 
 use crate::flight::{
     render_patterns, run_freq, Cancelled, Ending, Flight, FreqParams, MineKey, MineRun, Refusal,
-    Rider, Scheduler, Seat, SweepPlan, Unit, Work,
+    Rider, Scheduler, Seat, Unit,
 };
 use crate::protocol::{
     parse_request, BackendKind, BudgetParams, FreqRequest, LoadFormat, LoadRequest, LoadSource,
@@ -169,8 +175,6 @@ pub struct ServerSnapshot {
     pub queued: usize,
     /// Jobs currently executing.
     pub active: usize,
-    /// Sweep segments currently queued.
-    pub segments: usize,
     /// Coalesced mine flights created (each ran the pipeline once).
     pub coalesce_leads: u64,
     /// Mine requests that attached to an in-flight run instead of
@@ -303,7 +307,7 @@ impl Drop for Server {
 
 impl ServerInner {
     fn snapshot(&self) -> ServerSnapshot {
-        let (queued, active, segments) = self.sched.depths();
+        let (queued, active) = self.sched.depths();
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ServerSnapshot {
             received: load(&self.counters.received),
@@ -313,7 +317,6 @@ impl ServerInner {
             panics: load(&self.counters.panics),
             queued,
             active,
-            segments,
             coalesce_leads: load(&self.sched.leads),
             coalesce_riders: load(&self.sched.riders),
             queue_wait_us: load(&self.counters.queue_wait_us),
@@ -432,11 +435,12 @@ impl ServerInner {
                 let found = match self.sched.cancel(target) {
                     Cancelled::Unknown => false,
                     Cancelled::Signalled => true,
-                    // A rider of a coalesced run answers right now; the
-                    // shared run keeps going for the remaining riders.
-                    Cancelled::Detached(rider, dataset, exec_us) => {
+                    // A rider of a coalesced run answers right now, with no
+                    // execute time of its own; the shared run keeps going
+                    // for the remaining riders.
+                    Cancelled::Detached(rider, dataset) => {
                         let ending = Ending::Mine(dataset, MineRun::Cancelled);
-                        self.complete(vec![rider], &ending, exec_us);
+                        self.complete(vec![rider], &ending, 0);
                         true
                     }
                 };
@@ -502,29 +506,21 @@ impl ServerInner {
         }
     }
 
-    /// Run one unit with panic isolation; when it was its flight's last,
-    /// complete the flight.
-    fn run_unit(&self, Unit { flight, work }: Unit) {
+    /// Run one unit with panic isolation, then answer its flight.
+    fn run_unit(&self, Unit { flight, request }: Unit) {
         let started = Instant::now();
-        if let Work::Request(_) = work {
-            let waited_us = started
-                .saturating_duration_since(flight.submitted)
-                .as_micros() as u64;
-            self.counters
-                .queue_wait_us
-                .fetch_add(waited_us, Ordering::Relaxed);
-            flight.picked_up(waited_us);
-        }
+        let waited_us = started
+            .saturating_duration_since(flight.submitted)
+            .as_micros() as u64;
+        self.counters
+            .queue_wait_us
+            .fetch_add(waited_us, Ordering::Relaxed);
+        flight.picked_up(waited_us);
         // try_par_map with a single item runs inline under catch_unwind:
         // a panicking unit yields a structured error, not a dead worker.
-        let result =
-            graphsig_core::try_par_map(1, std::slice::from_ref(&work), |work| match work {
-                Work::Request(request) => self.execute(&flight, request),
-                Work::Threshold(plan, i) => {
-                    flight.record(*i, plan.run(*i));
-                    None
-                }
-            });
+        let result = graphsig_core::try_par_map(1, std::slice::from_ref(&request), |request| {
+            self.execute(&flight, request)
+        });
         let exec_us = started.elapsed().as_micros() as u64;
         self.counters.exec_us.fetch_add(exec_us, Ordering::Relaxed);
         let ending = match result {
@@ -537,8 +533,10 @@ impl ServerInner {
                 })
             }
         };
-        if let Some((riders, ending, exec_us)) = self.sched.settle(&flight, ending, exec_us) {
-            self.complete(riders, &ending, exec_us);
+        // No ending: the request joined another flight's run, which
+        // answers it.
+        if let Some(ending) = ending {
+            self.complete(self.sched.settle(&flight), &ending, exec_us);
         }
     }
 
@@ -566,14 +564,14 @@ impl ServerInner {
         budget
     }
 
-    /// Run a flight's request. `None` means no ending yet: the request
-    /// joined another flight's run, or fanned out into threshold units.
+    /// Run a flight's request. `None` means the request joined another
+    /// flight's run.
     fn execute(&self, flight: &Arc<Flight>, request: &Request) -> Option<Ending> {
         let resp = match request {
             Request::Load(r) => self.exec_load(r, flight.ticket),
             Request::Mine(r) => return self.exec_mine(flight, r),
             Request::Freq(r) => self.exec_freq(r, flight),
-            Request::Sweep(r) => return self.exec_sweep(flight, r),
+            Request::Sweep(r) => self.exec_sweep(r, flight),
             Request::Stats { id, dataset } => self.exec_stats(id, dataset.as_deref(), flight),
             // Control ops never reach the queue.
             other => Response::error(other.id(), other.op(), "internal: control op queued"),
@@ -587,8 +585,8 @@ impl ServerInner {
         let turn = self.registry.load_turn(&r.dataset, ticket);
         let started = Instant::now();
         let error = |message: String| Response::error(&r.id, "load", message);
-        // Appends extend the current version's graphs and keep its built
-        // segment indexes; a plain load starts from nothing.
+        // Appends extend the current version's graphs; a plain load starts
+        // from nothing.
         let base = match (r.append, &turn.current) {
             (false, _) => None,
             (true, Some(d)) => Some(Arc::clone(d)),
@@ -598,7 +596,7 @@ impl ServerInner {
         };
         let mut db = base.as_ref().map_or_else(GraphDb::new, |d| (*d.db).clone());
         let base_len = db.len();
-        let (mut shards, mut store, mut retries) = (None, None, None);
+        let (mut store, mut retries) = (None, None);
         match (&r.source, r.format) {
             (LoadSource::Path(path), LoadFormat::Text) => {
                 let text = match std::fs::read_to_string(path) {
@@ -625,15 +623,6 @@ impl ServerInner {
                 };
                 retries = Some(self.cfg.io.retries() - retries_before);
                 store = Some(StoreInfo::of(&opened));
-                // Surviving shards tile the opened db contiguously; offset
-                // by base_len they tile the tail of the combined db.
-                shards = Some(
-                    opened
-                        .shards
-                        .iter()
-                        .map(|s| base_len + s.db_start..base_len + s.db_start + s.graph_count)
-                        .collect(),
-                );
                 absorb(&mut db, opened.db, base.is_none());
             }
             (LoadSource::AidsLike { count, seed }, _) => {
@@ -642,7 +631,7 @@ impl ServerInner {
             }
         }
         let loaded = db.len() - base_len;
-        match turn.install(base.as_deref(), db, shards, store) {
+        match turn.install(base.as_deref(), db, store) {
             Err(Exhausted {
                 requested,
                 resident,
@@ -688,7 +677,7 @@ impl ServerInner {
             min_freq: r.min_freq.unwrap_or(defaults.min_freq),
             radius: r.radius.unwrap_or(defaults.radius),
             fsm_freq: r.fsm_freq.unwrap_or(defaults.fsm_freq),
-            threads: r.threads.unwrap_or(defaults.threads),
+            threads: request_threads(r.threads),
             fsm_backend: match r.backend {
                 None | Some(BackendKind::Fsg) => FsmBackend::Fsg,
                 Some(BackendKind::GSpan) => FsmBackend::GSpan,
@@ -768,7 +757,7 @@ impl ServerInner {
             backend: r.backend,
             max_edges: r.max_edges.unwrap_or(8),
             max_patterns: r.max_patterns.unwrap_or(10_000),
-            threads: r.threads.unwrap_or(0),
+            threads: request_threads(r.threads),
         };
         let outcome = run_freq(&dataset.db, &index, r.min_support, &params, budget);
         dataset
@@ -779,11 +768,13 @@ impl ServerInner {
             .with_payload(render_patterns(&dataset.db, &outcome.result))
     }
 
-    /// `sweep`: validate, then fan the thresholds out as low-priority
-    /// units; the flight answers once the last one finishes.
-    fn exec_sweep(&self, flight: &Arc<Flight>, r: &SweepRequest) -> Option<Ending> {
-        let error =
-            |message: String| Some(Ending::Response(Response::error(&r.id, "sweep", message)));
+    /// `sweep`: validate, then run `freq` at each support in request order
+    /// over one index read. One budget spans the sweep: its deadline covers
+    /// every threshold, while each threshold clones it for its own step
+    /// allowance, so an unbudgeted sweep's segments match individual `freq`
+    /// calls byte for byte.
+    fn exec_sweep(&self, r: &SweepRequest, flight: &Flight) -> Response {
+        let error = |message: String| Response::error(&r.id, "sweep", message);
         let dataset = match self.registry.get(&r.dataset, flight.ticket) {
             Ok(d) => d,
             Err(e) => return error(e),
@@ -794,20 +785,36 @@ impl ServerInner {
         if r.supports.contains(&0) {
             return error("every support must be >= 1".into());
         }
-        let plan = SweepPlan {
-            budget: self.budget_for(&r.budget, flight),
-            index: dataset.index(),
-            dataset,
-            params: FreqParams {
-                backend: r.backend,
-                max_edges: r.max_edges.unwrap_or(8),
-                max_patterns: r.max_patterns.unwrap_or(10_000),
-                threads: r.threads.unwrap_or(0),
-            },
-            supports: r.supports.clone(),
+        let budget = self.budget_for(&r.budget, flight);
+        let index = dataset.index();
+        let params = FreqParams {
+            backend: r.backend,
+            max_edges: r.max_edges.unwrap_or(8),
+            max_patterns: r.max_patterns.unwrap_or(10_000),
+            threads: request_threads(r.threads),
         };
-        self.sched.fan_out(flight, plan);
-        None
+        let (mut payload, mut completion, mut total) = (String::new(), Completion::Complete, 0);
+        for &support in &r.supports {
+            let outcome = run_freq(&dataset.db, &index, support, &params, budget.clone());
+            completion = completion.merge(outcome.completion);
+            total += outcome.result.len();
+            // Marker line, then the exact bytes an individual `freq` call
+            // at this threshold would have produced.
+            let _ = writeln!(
+                payload,
+                "# sweep support {support}: {} patterns ({})",
+                outcome.result.len(),
+                outcome.completion
+            );
+            payload.push_str(&render_patterns(&dataset.db, &outcome.result));
+        }
+        dataset
+            .ok_response(&r.id, "sweep")
+            .with_field("completion", completion)
+            .with_field("supports", r.supports.len())
+            .with_field("patterns", total)
+            .with_field("index_types", index.len())
+            .with_payload(payload)
     }
 
     fn exec_stats(&self, id: &str, dataset: Option<&str>, flight: &Flight) -> Response {
@@ -832,7 +839,6 @@ impl ServerInner {
             .with_field("active", snap.active)
             .with_field("queue_capacity", self.cfg.queue_capacity)
             .with_field("workers", graphsig_core::resolve_threads(self.cfg.workers))
-            .with_field("segments_queued", snap.segments)
             .with_field("coalesce_leads", snap.coalesce_leads)
             .with_field("coalesce_riders", snap.coalesce_riders)
             .with_field("queue_wait_us", snap.queue_wait_us)
@@ -850,6 +856,14 @@ impl ServerInner {
             None => resp,
         }
     }
+}
+
+/// A request's `threads=` (absent or 0 = auto), clamped to the core count.
+/// The value arrives from the network and the pipeline spreads it over
+/// outer × inner workers, so an unclamped value could ask for tens of
+/// thousands of OS threads. Output is identical at any thread count.
+fn request_threads(requested: Option<usize>) -> usize {
+    requested.map_or(0, |t| t.min(graphsig_core::resolve_threads(0)))
 }
 
 /// Add a load batch to `db`. A fresh load takes the batch whole, keeping
@@ -872,4 +886,20 @@ fn sleep_cancellable(ms: u64, token: &CancelToken) -> bool {
         std::thread::sleep(Duration::from_millis(5));
     }
     !token.is_cancelled()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::request_threads;
+
+    #[test]
+    fn request_threads_are_clamped_to_the_core_count() {
+        let cores = graphsig_core::resolve_threads(0);
+        assert_eq!(request_threads(Some(usize::MAX)), cores);
+        assert_eq!(request_threads(Some(cores + 1)), cores);
+        assert_eq!(request_threads(Some(1)), 1);
+        // Absent and 0 both stay auto.
+        assert_eq!(request_threads(None), 0);
+        assert_eq!(request_threads(Some(0)), 0);
+    }
 }

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use graphsig_core::{render_subgraphs, GraphSig, GraphSigConfig};
 use graphsig_server::protocol::parse_response_stream;
-use graphsig_server::{Server, ServerConfig, SharedWriter, Status};
+use graphsig_server::{ResponseHeader, Server, ServerConfig, SharedWriter, Status};
 
 #[derive(Clone, Default)]
 struct Sink(Arc<Mutex<Vec<u8>>>);
@@ -47,12 +47,11 @@ fn wait_all(sink: &Sink, ids: &[String]) -> Vec<(graphsig_server::ResponseHeader
     }
 }
 
-#[test]
-fn smoke_scenario_passes() {
-    // The full fault-injection gauntlet CI runs via `graphsig serve
-    // --smoke`: backpressure, cancellation, panic isolation, mixed
-    // budgets, cache observability, forced drain.
-    graphsig_server::smoke::run().expect("smoke scenario");
+/// Wait for `id`'s response and return it.
+fn answer(sink: &Sink, id: &str) -> (ResponseHeader, String) {
+    let responses = wait_all(sink, &[id.to_string()]);
+    let (h, body) = responses.into_iter().find(|(h, _)| h.id == id).unwrap();
+    (h, String::from_utf8(body).expect("utf-8 payload"))
 }
 
 #[test]
@@ -333,11 +332,11 @@ fn leader_panic_fails_every_rider() {
 
 #[test]
 fn sweep_segments_do_not_starve_other_requests() {
-    // One worker, one long sweep: per-threshold segments queue behind
-    // regular requests, so a freq submitted mid-sweep completes before
-    // the sweep does instead of waiting out every threshold.
+    // A sweep runs its thresholds in order on one worker, so with two
+    // workers a freq sent while a long sweep runs takes the other worker
+    // and answers first.
     let server = Server::new(ServerConfig {
-        workers: 1,
+        workers: 2,
         ..ServerConfig::default()
     });
     let sink = Sink::default();
@@ -348,19 +347,175 @@ fn sweep_segments_do_not_starve_other_requests() {
         "sweep id=s dataset=d supports=80,60,40,30,20,10 max_edges=5",
         &out,
     );
-    // Catch the sweep mid-flight with segments still queued.
-    wait_snapshot(&server, "sweep segments to queue", |s| s.segments >= 3);
+    wait_snapshot(&server, "sweep to start", |s| s.active == 1);
     server.dispatch_line("freq id=m dataset=d min_support=100 max_edges=3", &out);
     let responses = wait_all(&sink, &["m".to_string(), "s".to_string()]);
     let pos = |id: &str| responses.iter().position(|(h, _)| h.id == id).expect(id);
     assert!(
         pos("m") < pos("s"),
-        "freq response must precede the sweep's: segments hogged the worker"
+        "freq response must precede the sweep's: the sweep held both workers"
     );
     let (h, _) = &responses[pos("s")];
     assert_eq!(h.status, Status::Ok);
     assert_eq!(h.field("completion"), Some("complete"));
     server.join();
+}
+
+#[test]
+fn saturated_server_sheds_stays_probeable_and_drains_by_force() {
+    // The fixed sequence a seeded soak cannot script: both workers pinned
+    // and a full queue shedding `busy` with its depth, `ping` answered
+    // while saturated, an expired deadline and a panic answered
+    // structured, a reload emptying the prepared cache, a forced drain
+    // cutting a hung request that still answers, and a refusal after
+    // shutdown.
+    let server = Server::new(ServerConfig {
+        workers: 2,
+        queue_capacity: 2,
+        drain_ms: 10_000,
+        allow_inject: true,
+        ..ServerConfig::default()
+    });
+    let sink = Sink::default();
+    let out = writer(&sink);
+    let mut ids = Vec::new();
+    let mut send = |line: String| {
+        let id = line
+            .split_whitespace()
+            .find_map(|kv| kv.strip_prefix("id="));
+        ids.push(id.expect("request id").to_string());
+        server.dispatch_line(&line, &out);
+    };
+    let mine = "dataset=d min_freq=0.05 max_pvalue=0.05 radius=3";
+    send("load id=L dataset=d gen=aids count=30 seed=7".into());
+    assert_eq!(answer(&sink, "L").0.field("version"), Some("1"));
+
+    // Distinct sleeps: identical injected mines would coalesce, and a
+    // rider holds no worker.
+    send(format!("mine id=pinA sleep_ms=60000 {mine}"));
+    send(format!("mine id=pinB sleep_ms=59000 {mine}"));
+    wait_snapshot(&server, "both workers pinned", |s| s.active == 2);
+    send(format!("mine id=q1 {mine}"));
+    send(format!("mine id=q2 {mine}"));
+    wait_snapshot(&server, "queue full", |s| s.queued == 2);
+    for i in 0..3 {
+        send(format!("mine id=shed{i} {mine}"));
+        let (h, _) = answer(&sink, &format!("shed{i}"));
+        assert_eq!(h.status, Status::Busy, "{h:?}");
+        assert_eq!(h.field("queue"), Some("2"), "busy reports its depth");
+    }
+    assert_eq!(server.snapshot().busy_rejected, 3);
+    send("ping id=p".into());
+    assert_eq!(answer(&sink, "p").0.status, Status::Ok);
+    let snap = server.snapshot();
+    assert_eq!((snap.active, snap.queued), (2, 2), "still saturated");
+
+    // Cancelling a pinned mine frees its worker for the queued ones.
+    send("cancel id=c target=pinA".into());
+    assert_eq!(answer(&sink, "c").0.field("found"), Some("true"));
+    let (h, _) = answer(&sink, "pinA");
+    assert_eq!(h.field("completion"), Some("truncated (cancelled)"));
+    assert_eq!(
+        (h.field("dataset"), h.field("version")),
+        (Some("d"), Some("1"))
+    );
+    let (h, q1) = answer(&sink, "q1");
+    assert_eq!(h.status, Status::Ok);
+    assert_eq!(answer(&sink, "q2").1, q1);
+
+    send(format!("mine id=deadline timeout_ms=1 {mine}"));
+    let (h, _) = answer(&sink, "deadline");
+    assert_eq!(h.status, Status::Ok);
+    assert_ne!(h.field("completion"), Some("complete"), "{h:?}");
+    send(format!("mine id=poison inject=panic {mine}"));
+    let (h, _) = answer(&sink, "poison");
+    assert!(h.field("error").is_some_and(|e| e.contains("panicked")));
+    send(format!("mine id=after {mine}"));
+    assert_eq!(
+        answer(&sink, "after").1,
+        q1,
+        "serves unchanged after a panic"
+    );
+
+    // A reload starts a version with an empty prepared cache.
+    send("stats id=S1 dataset=d".into());
+    assert_ne!(answer(&sink, "S1").0.field("prepared_entries"), Some("0"));
+    send("load id=L2 dataset=d gen=aids count=30 seed=7".into());
+    assert_eq!(answer(&sink, "L2").0.field("version"), Some("2"));
+    send("stats id=S2 dataset=d".into());
+    let (h, _) = answer(&sink, "S2");
+    assert_eq!(h.field("prepared_hits"), Some("0"));
+    assert_eq!(h.field("prepared_entries"), Some("0"));
+
+    // pinB still sleeps: the drain deadline cancels it, it answers, and
+    // only then does shutdown confirm.
+    send("shutdown id=bye drain_ms=300".into());
+    assert_eq!(answer(&sink, "bye").0.field("forced"), Some("true"));
+    let (h, _) = answer(&sink, "pinB");
+    assert_eq!(h.field("completion"), Some("truncated (cancelled)"));
+    send(format!("mine id=late {mine}"));
+    let (h, _) = answer(&sink, "late");
+    assert_eq!(h.status, Status::Error);
+    assert!(h
+        .field("error")
+        .is_some_and(|e| e.contains("shutting down")));
+
+    let responses = wait_all(&sink, &ids);
+    for id in &ids {
+        let n = responses.iter().filter(|(h, _)| &h.id == id).count();
+        assert_eq!(n, 1, "request '{id}' got {n} responses");
+    }
+    server.join();
+}
+
+#[test]
+fn first_freq_grows_resident_bytes_by_exactly_one_index() {
+    // A dataset version holds one label-pair index, so the first freq adds
+    // exactly its bytes (with its compiled db) to `resident_bytes`, for a
+    // generator load and for a packed load of 16-graph shards alike.
+    use graphsig_store::Io;
+    let db = graphsig_datagen::aids_like(60, 1).db;
+    let index = graphsig_graph::LabelPairIndex::build(&db);
+    index.compiled_db(&db);
+    let dir = std::env::temp_dir().join(format!("graphsig-srv-resident-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    graphsig_store::pack_with(&dir, &db, 16, &Io::real()).expect("pack");
+
+    let server = Server::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let sink = Sink::default();
+    let out = writer(&sink);
+    let packed = format!("path={} format=packed", dir.display());
+    for (name, source) in [("g", "gen=aids count=60 seed=1"), ("p", packed.as_str())] {
+        for line in [
+            format!("load id=L{name} dataset={name} {source}"),
+            format!("stats id=before{name} dataset={name}"),
+            format!("freq id=F{name} dataset={name} min_support=20 max_edges=2"),
+            format!("stats id=after{name} dataset={name}"),
+        ] {
+            server.dispatch_line(&line, &out);
+        }
+        let resident = |id: String| -> (u64, Option<String>) {
+            let (h, _) = answer(&sink, &id);
+            let bytes = h.field("resident_bytes").expect("resident_bytes");
+            (
+                bytes.parse().unwrap(),
+                h.field("index_types").map(str::to_string),
+            )
+        };
+        let (before, unbuilt) = resident(format!("before{name}"));
+        let (after, built) = resident(format!("after{name}"));
+        assert_eq!(after - before, index.approx_resident_bytes(), "{name}");
+        assert_eq!(unbuilt, None, "{name}: no index before the first freq");
+        let types = Some(index.len().to_string());
+        assert_eq!(built, types, "{name}: stats shows the built index");
+        let (f, _) = answer(&sink, &format!("F{name}"));
+        assert_eq!(f.field("index_types"), types.as_deref(), "{name}");
+    }
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
