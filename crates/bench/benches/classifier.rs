@@ -37,12 +37,5 @@ fn bench_classifier(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    name = benches;
-    config = Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(10);
-    targets = bench_classifier
-);
+criterion_group!(benches, bench_classifier);
 criterion_main!(benches);

@@ -21,19 +21,12 @@ fn bench_fvmine(c: &mut Criterion) {
     group.sample_size(10);
     for (min_sup_frac, max_p) in [(0.05, 0.1), (0.02, 0.1), (0.05, 0.01)] {
         let min_support = ((min_sup_frac * carbon.vectors.len() as f64).ceil() as usize).max(2);
-        group.bench_function(format!("sup{min_sup_frac}_p{max_p}"), |b| {
+        group.bench_function(&format!("sup{min_sup_frac}_p{max_p}"), |b| {
             b.iter(|| FvMiner::new(FvMineConfig::new(min_support, max_p)).mine(&carbon.vectors))
         });
     }
     group.finish();
 }
 
-criterion_group!(
-    name = benches;
-    config = Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(10);
-    targets = bench_fvmine
-);
+criterion_group!(benches, bench_fvmine);
 criterion_main!(benches);

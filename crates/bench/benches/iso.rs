@@ -37,12 +37,5 @@ fn bench_iso(c: &mut Criterion) {
     c.bench_function("min_dfs_code/motif", |b| b.iter(|| min_dfs_code(&azt)));
 }
 
-criterion_group!(
-    name = benches;
-    config = Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(10);
-    targets = bench_iso
-);
+criterion_group!(benches, bench_iso);
 criterion_main!(benches);

@@ -12,10 +12,10 @@ fn bench_miners(c: &mut Criterion) {
     group.sample_size(10);
     for freq in [0.10, 0.05] {
         let support = ((freq * data.len() as f64).ceil() as usize).max(1);
-        group.bench_function(format!("gspan_freq{freq}"), |b| {
+        group.bench_function(&format!("gspan_freq{freq}"), |b| {
             b.iter(|| GSpan::new(MinerConfig::new(support).with_max_edges(8)).mine(&data.db))
         });
-        group.bench_function(format!("fsg_freq{freq}"), |b| {
+        group.bench_function(&format!("fsg_freq{freq}"), |b| {
             b.iter(|| Fsg::new(FsgConfig::new(support).with_max_edges(8)).mine(&data.db))
         });
     }
@@ -36,12 +36,5 @@ fn bench_miners(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    name = benches;
-    config = Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(10);
-    targets = bench_miners
-);
+criterion_group!(benches, bench_miners);
 criterion_main!(benches);

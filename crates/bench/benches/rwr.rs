@@ -37,12 +37,5 @@ fn bench_rwr(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    name = benches;
-    config = Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(10);
-    targets = bench_rwr
-);
+criterion_group!(benches, bench_rwr);
 criterion_main!(benches);

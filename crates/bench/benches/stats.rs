@@ -21,12 +21,5 @@ fn bench_stats(c: &mut Criterion) {
     c.bench_function("ln_gamma", |b| b.iter(|| ln_gamma(black_box(12345.678))));
 }
 
-criterion_group!(
-    name = benches;
-    config = Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(10);
-    targets = bench_stats
-);
+criterion_group!(benches, bench_stats);
 criterion_main!(benches);

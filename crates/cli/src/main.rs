@@ -79,8 +79,8 @@ fn print_usage() {
          \x20                       bounds per-client response buffering before disconnect;\n\
          \x20                       --auth-token requires `auth token=...` first on TCP;\n\
          \x20                       --max-resident-bytes rejects loads past the memory\n\
-         \x20                       ceiling with code=resource_exhausted after LRU-evicting\n\
-         \x20                       cold caches; --idle/--handshake-timeout-ms reap silent\n\
+         \x20                       ceiling with code=resource_exhausted after evicting\n\
+         \x20                       prepared passes; --idle/--handshake-timeout-ms reap silent\n\
          \x20                       connections while in-flight requests proceed; --log\n\
          \x20                       emits one line per completed request on stderr)\n\
          \x20 graphsig pack <file> <dir> [--shard-size N] [--append]\n\

@@ -81,11 +81,13 @@ fn server_mine_is_byte_identical_to_one_shot_cli() {
     let one_shot = mine.stdout;
 
     // Same mine through the server: load the same file, ask twice (cold
-    // then warm), plus a step-budgeted request for the bypass path.
+    // then warm), then at another threshold (which shares the one prepared
+    // window pass), plus a step-budgeted request for the bypass path.
     let script = format!(
         "load id=L dataset=d path={}\n\
          mine id=cold dataset=d min_freq=0.05 max_pvalue=0.05 radius=3\n\
          mine id=warm dataset=d min_freq=0.05 max_pvalue=0.05 radius=3\n\
+         mine id=other dataset=d min_freq=0.05 max_pvalue=0.1 radius=3\n\
          mine id=steps dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 max_steps=50\n\
          stats id=S dataset=d\n",
         file.to_str().expect("utf-8 path")
@@ -107,10 +109,14 @@ fn server_mine_is_byte_identical_to_one_shot_cli() {
     let (warm, warm_body) = response(&responses, "warm");
     assert_eq!(warm.field("cached"), Some("hit"), "{warm:?}");
     assert_eq!(warm_body, &one_shot, "cache hit changed the bytes");
+    let (other, _) = response(&responses, "other");
+    assert_eq!(other.status, Status::Ok, "{other:?}");
+    assert_eq!(other.field("cached"), Some("hit"), "{other:?}");
     let (steps, _) = response(&responses, "steps");
     assert_eq!(steps.field("cached"), Some("bypass"));
     let (stats, _) = response(&responses, "S");
-    assert_eq!(stats.field("prepared_hits"), Some("1"), "{stats:?}");
+    assert_eq!(stats.field("prepared_hits"), Some("2"), "{stats:?}");
+    assert_eq!(stats.field("prepared_misses"), Some("1"), "{stats:?}");
     assert_eq!(stats.field("prepared_bypasses"), Some("1"));
 }
 
@@ -459,6 +465,18 @@ impl Client {
     }
 }
 
+/// OS threads of process `pid` (`Threads:` in `/proc/<pid>/status`), or
+/// `None` where `/proc` is absent.
+fn os_threads(pid: u32) -> Option<usize> {
+    std::fs::read_to_string(format!("/proc/{pid}/status"))
+        .ok()?
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))?
+        .trim()
+        .parse()
+        .ok()
+}
+
 #[test]
 fn tcp_transport_serves_many_clients_with_exactly_one_response_each() {
     // End-to-end over the event-driven TCP transport: one process, many
@@ -502,6 +520,21 @@ fn tcp_transport_serves_many_clients_with_exactly_one_response_each() {
     let (h, solo_body) = response(&responses, "solo");
     assert_eq!(h.status, Status::Ok);
     let solo_body = solo_body.clone();
+
+    // Idle connections cost no thread: the event loop only polls them.
+    // `ping` on a fresh connection settles every earlier accept.
+    let threads_before = os_threads(child.id());
+    let idle: Vec<Client> = (0..64).map(|_| Client::connect(&addr)).collect();
+    let mut settle = Client::connect(&addr);
+    settle.send("ping id=settle\n");
+    let settled = settle.wait(&["settle"]);
+    assert_eq!(response(&settled, "settle").0.status, Status::Ok);
+    assert_eq!(
+        os_threads(child.id()),
+        threads_before,
+        "idle connections must not spawn threads"
+    );
+    drop((idle, settle));
 
     // 8 concurrent clients, each on its own connection, each sending a
     // ping, an identical mine, and a freq in one burst.

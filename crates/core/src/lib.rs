@@ -46,7 +46,6 @@
 //! }
 //! ```
 
-pub mod cache;
 pub mod config;
 pub mod par;
 pub mod pipeline;
@@ -60,7 +59,6 @@ pub mod vectors;
 pub use graphsig_graph::control;
 pub use graphsig_graph::{Budget, CancelToken, Completion, Outcome, StopReason};
 
-pub use cache::{CacheDisposition, CacheStats, PreparedCache, WindowKey};
 pub use config::{FsmBackend, GraphSigConfig, WindowKind};
 pub use par::{par_map, par_map_range, resolve_threads, try_par_map, try_par_map_range};
 pub use pipeline::{GraphSig, GraphSigResult, Prepared, Profile, RunStats, SignificantSubgraph};

@@ -184,11 +184,6 @@ impl Prepared {
         self.vectors
     }
 
-    /// Wall-clock time of the window pass.
-    pub fn window_time(&self) -> Duration {
-        self.rwr_time
-    }
-
     /// Approximate heap bytes held by the cached window pass (discretized
     /// vectors plus provenance). Estimate for the server's memory
     /// admission governor, not an allocator audit.
@@ -631,11 +626,6 @@ pub fn verify_occurrences(sg: &SignificantSubgraph, db: &GraphDb) -> bool {
         .all(|&gid| graphsig_graph::iso::contains(db.graph(gid as usize), &sg.graph))
 }
 
-/// Convenience for experiments: the subgraph containing the most edges.
-pub fn largest_subgraph(result: &GraphSigResult) -> Option<&SignificantSubgraph> {
-    result.subgraphs.iter().max_by_key(|s| s.graph.edge_count())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,7 +677,6 @@ mod tests {
         let data = aids_like(600, 43);
         let actives = data.active_subset();
         let result = GraphSig::new(test_cfg()).mine(&actives);
-        assert!(largest_subgraph(&result).is_some(), "nothing mined");
         // A conserved core must surface: some mined subgraph of >= 4 edges
         // present in a decent share of the actives. (Not necessarily the
         // largest answer — motif decorations can make the largest pattern

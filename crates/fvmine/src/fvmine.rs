@@ -133,44 +133,11 @@ impl FvMiner {
         db: &[Vec<u8>],
         meter: &mut Meter<'_>,
     ) -> (Vec<SignificantVector>, FvMineStats) {
-        if db.is_empty() {
-            return (Vec::new(), FvMineStats::default());
-        }
-        let model = SignificanceModel::from_vectors(db, 10);
-        self.mine_with_model_stats_metered(db, &model, meter)
-    }
-
-    /// Mine `db` against an externally supplied significance model (e.g.
-    /// priors estimated on a larger population).
-    pub fn mine_with_model(
-        &self,
-        db: &[Vec<u8>],
-        model: &SignificanceModel,
-    ) -> Vec<SignificantVector> {
-        self.mine_with_model_and_stats(db, model).0
-    }
-
-    /// Full-control entry point: explicit model, counters returned.
-    pub fn mine_with_model_and_stats(
-        &self,
-        db: &[Vec<u8>],
-        model: &SignificanceModel,
-    ) -> (Vec<SignificantVector>, FvMineStats) {
-        self.mine_with_model_stats_metered(db, model, &mut Meter::unbudgeted())
-    }
-
-    /// Full-control entry point under a [`Meter`]; see
-    /// [`mine_metered`](Self::mine_metered).
-    pub fn mine_with_model_stats_metered(
-        &self,
-        db: &[Vec<u8>],
-        model: &SignificanceModel,
-        meter: &mut Meter<'_>,
-    ) -> (Vec<SignificantVector>, FvMineStats) {
         let mut stats = FvMineStats::default();
         if db.is_empty() {
             return (Vec::new(), stats);
         }
+        let model = SignificanceModel::from_vectors(db, 10);
         let root_support: Vec<u32> = (0..db.len() as u32).collect();
         if root_support.len() < self.cfg.min_support {
             return (Vec::new(), stats);
@@ -179,7 +146,7 @@ impl FvMiner {
         let mut out = Vec::new();
         self.recurse(
             db,
-            model,
+            &model,
             &root,
             &root_support,
             0,

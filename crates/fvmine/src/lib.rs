@@ -35,15 +35,11 @@
 //! }
 //! ```
 
-pub mod csv;
-pub mod diagnostics;
 pub mod fvmine;
 pub mod priors;
 pub mod pvalue;
 pub mod vector;
 
-pub use csv::{from_csv, to_csv};
-pub use diagnostics::{diagnose, FeatureSummary, GroupDiagnostics};
 pub use fvmine::{FvMineConfig, FvMineStats, FvMiner, SignificantVector};
 pub use priors::Priors;
 pub use pvalue::SignificanceModel;

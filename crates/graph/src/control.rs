@@ -80,15 +80,6 @@ impl std::fmt::Display for StopReason {
     }
 }
 
-impl StopReason {
-    /// Whether truncation for this reason is reproducible across thread
-    /// counts (step budgets and pattern caps) or scheduling-dependent
-    /// (deadlines and cancellation).
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self, StopReason::StepBudget | StopReason::PatternCap)
-    }
-}
-
 /// Whether a result covers the full search space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Completion {
@@ -245,17 +236,6 @@ impl Budget {
     /// The per-work-unit step allowance, if any.
     pub fn max_steps(&self) -> Option<u64> {
         self.max_steps
-    }
-
-    /// The cancellation token carried by this budget.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
-    /// Whether any limit is attached. Unlimited budgets short-circuit to
-    /// the ungoverned fast path everywhere.
-    pub fn is_governed(&self) -> bool {
-        self.deadline.is_some() || self.max_steps.is_some() || self.cancel.is_cancelled()
     }
 
     /// Total steps flushed back by finished meters, across all threads.
@@ -514,7 +494,6 @@ mod tests {
         }
         drop(m);
         assert_eq!(b.steps_spent(), 10_000);
-        assert!(!b.is_governed());
     }
 
     #[test]
@@ -599,7 +578,6 @@ mod tests {
     #[test]
     fn expired_deadline_is_seen_at_unit_start_and_at_poll_period() {
         let b = Budget::unlimited().with_deadline(Duration::ZERO);
-        assert!(b.is_governed());
         assert_eq!(b.check_start(), Some(StopReason::Deadline));
         let mut m = b.meter();
         let mut stopped_at = None;
@@ -654,8 +632,6 @@ mod tests {
         assert!(o.completion.is_complete());
         let t = Outcome::truncated(vec![1], StopReason::StepBudget);
         assert_eq!(t.completion, Completion::Truncated(StopReason::StepBudget));
-        assert!(!StopReason::Deadline.is_deterministic());
-        assert!(StopReason::StepBudget.is_deterministic());
     }
 
     #[test]

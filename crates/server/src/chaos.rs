@@ -20,7 +20,7 @@
 //!   resolve to exactly one structured response, mine payloads must be
 //!   byte-identical to the unfaulted one-shot pipeline oracle, and a
 //!   load past `max_resident_bytes` must be rejected with
-//!   `code=resource_exhausted` (after LRU eviction) while the server
+//!   `code=resource_exhausted` (after eviction) while the server
 //!   keeps serving.
 //! * **Connection lifecycle** — a TCP phase with dead clients (never
 //!   send), idle clients (send once, go silent), and slow clients (stop

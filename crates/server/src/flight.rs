@@ -21,9 +21,9 @@
 //!
 //! Explicitly budgeted mines (`timeout_ms`/`max_steps`) never coalesce: a
 //! step budget is a per-request determinism contract (such runs bypass the
-//! `PreparedCache` for the same reason), and a deadline anchors to its own
-//! request's submission. Unbudgeted riders adopt the leader's effective
-//! budget (the server's default ceilings).
+//! dataset's prepared window pass for the same reason), and a deadline
+//! anchors to its own request's submission. Unbudgeted riders adopt the
+//! leader's effective budget (the server's default ceilings).
 //!
 //! # Locks
 //!
@@ -40,21 +40,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use graphsig_core::{
-    render_subgraphs, Budget, CacheDisposition, CancelToken, GraphSigResult, Outcome, WindowKey,
-};
+use graphsig_core::{render_subgraphs, Budget, CancelToken, GraphSigResult, Outcome};
 use graphsig_fsg::{Fsg, FsgConfig};
 use graphsig_graph::{GraphDb, LabelPairIndex};
 use graphsig_gspan::{GSpan, MinerConfig, Pattern};
 
 use crate::protocol::{BackendKind, MineRequest, Request, Response};
-use crate::registry::{Dataset, Registry};
+use crate::registry::{Cached, Dataset, Registry};
 use crate::server::SharedWriter;
 
 /// Everything a coalesced `mine` run depends on. Two requests with equal
 /// keys would run the exact same pipeline over the exact same data, so
 /// they may share one execution. `top=` is absent (rendering-only, applied
-/// per rider); budgets are absent because budgeted requests never coalesce.
+/// per rider); budgets are absent because budgeted requests never coalesce;
+/// the window parameters are absent because every server mine uses the
+/// defaults, so every mine of a version shares its one prepared pass.
 /// The fault-injection keys are *included*: two identical injected
 /// requests may share a (deterministically faulty) run, but an injected
 /// request never shares with a clean one.
@@ -62,9 +62,6 @@ use crate::server::SharedWriter;
 pub(crate) struct MineKey {
     dataset: String,
     version: u64,
-    /// The `PreparedCache` fingerprint — proves key-compatibility with the
-    /// window-pass cache the run will consult.
-    window: WindowKey,
     max_pvalue_bits: u64,
     min_freq_bits: u64,
     fsm_freq_bits: u64,
@@ -86,7 +83,6 @@ impl MineKey {
         MineKey {
             dataset: dataset.name.clone(),
             version: dataset.version,
-            window: WindowKey::of(cfg),
             max_pvalue_bits: cfg.max_pvalue.to_bits(),
             min_freq_bits: cfg.min_freq.to_bits(),
             fsm_freq_bits: cfg.fsm_freq.to_bits(),
@@ -151,7 +147,7 @@ pub(crate) enum MineRun {
     /// The run's token fell before (injected sleep) or during the work.
     Cancelled,
     /// The pipeline produced an outcome (complete or truncated).
-    Done(Outcome<GraphSigResult>, CacheDisposition),
+    Done(Outcome<GraphSigResult>, Cached),
 }
 
 /// How a flight ended, rendered into each rider's response.
@@ -174,10 +170,10 @@ impl Ending {
                 .with_field("completion", "truncated (cancelled)")
                 .with_field("cached", "none")
                 .with_field("subgraphs", 0),
-            Ending::Mine(dataset, MineRun::Done(outcome, disposition)) => dataset
+            Ending::Mine(dataset, MineRun::Done(outcome, cached)) => dataset
                 .ok_response(&rider.id, "mine")
                 .with_field("completion", outcome.completion)
-                .with_field("cached", disposition)
+                .with_field("cached", cached)
                 .with_field("subgraphs", outcome.result.subgraphs.len())
                 .with_payload(render_subgraphs(&dataset.db, &outcome.result, rider.top)),
             Ending::Panicked { op, message } => Response::error(

@@ -19,7 +19,7 @@
 //!   scheduling model (every admitted request is a flight of exactly one
 //!   work unit answered to one or more riders — solo requests and
 //!   coalesced identical `mine`s), and `registry`, the resident datasets
-//!   (one shared [`PreparedCache`](graphsig_core::PreparedCache) +
+//!   (one prepared window pass + one
 //!   [`LabelPairIndex`](graphsig_graph::LabelPairIndex) per dataset
 //!   version with versioned invalidation on `load`, load ordering, and the
 //!   memory admission governor).

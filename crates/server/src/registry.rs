@@ -1,6 +1,6 @@
 //! The dataset registry: every resident dataset version, the order in
 //! which loads of one name commit, and the memory admission governor. A
-//! version holds one prepared-window cache and one label-pair index, both
+//! version holds one prepared window pass and one label-pair index, both
 //! built on first use over the version's whole db.
 //!
 //! # Lock discipline
@@ -8,7 +8,7 @@
 //! One mutex guards the name → dataset map and the per-name load counters.
 //! Every method takes it once and never calls back into the registry while
 //! holding it, so no registry call can wait on itself. Inside it only the
-//! datasets' own prepared-cache locks are taken (resident sums, eviction),
+//! datasets' own prepared-pass locks are taken (resident sums, eviction),
 //! and those are leaves. The scheduler takes it, briefly, under its own
 //! lock when it hands out an admission ticket (see [`Registry::ticket`]);
 //! nothing takes the scheduler lock while holding this one.
@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
-use graphsig_core::PreparedCache;
+use graphsig_core::{GraphSig, GraphSigConfig, GraphSigResult, Outcome, Prepared};
 use graphsig_graph::{GraphDb, LabelPairIndex};
 
 use crate::protocol::{Response, Status};
@@ -60,6 +60,27 @@ impl StoreInfo {
     }
 }
 
+/// How a `mine` used its dataset version's prepared window pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cached {
+    /// Mined against the pass an earlier mine prepared.
+    Hit,
+    /// Prepared the pass, then mined against it.
+    Miss,
+    /// Step-budgeted: ran the one-shot pipeline, pass untouched.
+    Bypass,
+}
+
+impl std::fmt::Display for Cached {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Cached::Hit => "hit",
+            Cached::Miss => "miss",
+            Cached::Bypass => "bypass",
+        })
+    }
+}
+
 /// One resident dataset version: the graphs plus every cache keyed to
 /// exactly this data. Replaced on `load`, `append=true` included: every
 /// version builds its own caches.
@@ -70,7 +91,13 @@ pub(crate) struct Dataset {
     /// `db.approx_resident_bytes()`, computed once at load so admission
     /// checks never re-walk the graphs.
     pub(crate) db_bytes: u64,
-    pub(crate) prepared: PreparedCache,
+    /// The version's one prepared window pass, built unbudgeted by the
+    /// first mine that may share it. Eviction swaps in an empty cell; a
+    /// mine holding the old one finishes on it.
+    prepared: Mutex<Arc<OnceLock<Arc<Prepared>>>>,
+    prepared_hits: AtomicU64,
+    prepared_misses: AtomicU64,
+    prepared_bypasses: AtomicU64,
     /// The version's one label-pair index, built on first use.
     index: OnceLock<Arc<LabelPairIndex>>,
     /// Set when the dataset came (in part) from a packed store.
@@ -88,14 +115,63 @@ impl Dataset {
             .clone()
     }
 
+    /// Governed mining of this version: the same outcome as
+    /// `GraphSig::new(cfg).mine_outcome(&self.db)`, plus how the prepared
+    /// pass was used. Concurrent first mines prepare once; the others block
+    /// on the cell and count as hits.
+    pub(crate) fn mine(&self, cfg: &GraphSigConfig) -> (Outcome<GraphSigResult>, Cached) {
+        // A step budget meters the one-shot run's window pass too, so
+        // sharing the unbudgeted pass would break byte identity with it.
+        if cfg.budget.as_ref().is_some_and(|b| b.max_steps().is_some()) {
+            self.prepared_bypasses.fetch_add(1, Ordering::Relaxed);
+            let outcome = GraphSig::new(cfg.clone()).mine_outcome(&self.db);
+            return (outcome, Cached::Bypass);
+        }
+        let cell = Arc::clone(&lock(&self.prepared));
+        let mut missed = false;
+        let prepared = cell.get_or_init(|| {
+            missed = true;
+            let unbudgeted = GraphSigConfig {
+                budget: None,
+                ..cfg.clone()
+            };
+            Arc::new(GraphSig::new(unbudgeted).prepare(&self.db))
+        });
+        let cached = if missed {
+            self.prepared_misses.fetch_add(1, Ordering::Relaxed);
+            Cached::Miss
+        } else {
+            self.prepared_hits.fetch_add(1, Ordering::Relaxed);
+            Cached::Hit
+        };
+        let outcome = GraphSig::new(cfg.clone()).mine_prepared_outcome(&self.db, prepared);
+        (outcome, cached)
+    }
+
+    /// Bytes of the prepared pass, 0 while none is held.
+    fn prepared_bytes(&self) -> u64 {
+        lock(&self.prepared)
+            .get()
+            .map_or(0, |p| p.approx_resident_bytes())
+    }
+
+    /// Drop the prepared pass and return its bytes, or `None` when no pass
+    /// is held (never prepared, or still being prepared).
+    fn evict_prepared(&self) -> Option<u64> {
+        let mut slot = lock(&self.prepared);
+        let bytes = slot.get()?.approx_resident_bytes();
+        *slot = Arc::default();
+        Some(bytes)
+    }
+
     /// Approximate resident bytes this dataset version pins: the graphs,
-    /// every initialized prepared-window cache entry, and the index (with
-    /// its lazily compiled bitset database) once built. Estimates, not an
-    /// allocator audit — the governor's admission decisions only need
-    /// relative magnitudes.
+    /// the prepared pass once built, and the index (with its lazily
+    /// compiled bitset database) once built. Estimates, not an allocator
+    /// audit — the governor's admission decisions only need relative
+    /// magnitudes.
     fn resident_bytes(&self) -> u64 {
         let index = self.index.get().map_or(0, |i| i.approx_resident_bytes());
-        self.db_bytes + self.prepared.approx_bytes() + index
+        self.db_bytes + self.prepared_bytes() + index
     }
 
     /// `quarantined/total` when the backing store lost shards, else None.
@@ -140,18 +216,22 @@ impl Dataset {
     /// The `stats dataset=` response.
     pub(crate) fn stats_response(&self, id: &str) -> Response {
         let s = self.db.stats();
-        let cache = self.prepared.stats();
+        // Both take the prepared-pass lock: read them here, not inside the
+        // builder chain, where a guard temporary would outlive its field.
+        let entries = usize::from(lock(&self.prepared).get().is_some());
+        let resident = self.resident_bytes();
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let resp = Response::new(id, "stats", Status::Ok)
             .with_field("dataset", &self.name)
             .with_field("version", self.version)
             .with_field("graphs", s.graph_count)
             .with_field("nodes", s.total_nodes)
             .with_field("edges", s.total_edges)
-            .with_field("prepared_hits", cache.hits)
-            .with_field("prepared_misses", cache.misses)
-            .with_field("prepared_bypasses", cache.bypasses)
-            .with_field("prepared_entries", cache.entries)
-            .with_field("resident_bytes", self.resident_bytes());
+            .with_field("prepared_hits", count(&self.prepared_hits))
+            .with_field("prepared_misses", count(&self.prepared_misses))
+            .with_field("prepared_bypasses", count(&self.prepared_bypasses))
+            .with_field("prepared_entries", entries)
+            .with_field("resident_bytes", resident);
         let resp = self.with_store_fields(resp);
         // The shared index is only reported once built — its presence is
         // itself the observability signal that `freq` requests are reusing
@@ -166,7 +246,8 @@ impl Dataset {
 }
 
 /// A `load` the governor refused: its graphs do not fit under the
-/// resident ceiling even after evicting every cold prepared-cache entry.
+/// resident ceiling even after evicting every other dataset's prepared
+/// pass.
 pub(crate) struct Exhausted {
     pub(crate) requested: u64,
     pub(crate) resident: u64,
@@ -187,7 +268,7 @@ pub(crate) struct Registry {
     committed: Condvar,
     /// Memory admission ceiling (`ServerConfig::max_resident_bytes`).
     max_resident_bytes: Option<u64>,
-    /// Prepared-cache entries evicted by the memory governor.
+    /// Prepared passes evicted by the memory governor.
     pub(crate) evictions: AtomicU64,
 }
 
@@ -280,8 +361,8 @@ impl LoadTurn<'_> {
     /// the graphs of `base` (the current version for an append, `None` for
     /// a fresh load) followed by the new batch; `store` is a packed batch's
     /// provenance.
-    /// Admission is atomic: the ceiling check, the LRU eviction of cold
-    /// prepared-cache entries and the insert happen under one lock, so two
+    /// Admission is atomic: the ceiling check, the eviction of other
+    /// datasets' prepared passes and the insert happen under one lock, so two
     /// concurrent loads can never both pass a ceiling only one of them
     /// fits. The version being replaced does not count against its
     /// successor. A refused load leaves the current version serving.
@@ -340,7 +421,10 @@ impl LoadTurn<'_> {
             version: st.datasets.get(&self.name).map_or(1, |d| d.version + 1),
             db: Arc::new(db),
             db_bytes,
-            prepared: PreparedCache::new(),
+            prepared: Mutex::default(),
+            prepared_hits: AtomicU64::new(0),
+            prepared_misses: AtomicU64::new(0),
+            prepared_bypasses: AtomicU64::new(0),
             index: OnceLock::new(),
             store,
         });
@@ -358,18 +442,17 @@ impl Drop for LoadTurn<'_> {
     }
 }
 
-/// Evict one cold prepared-cache entry under memory pressure: the
-/// least-recently-used initialized entry of whichever dataset (other than
-/// `except`) caches the most bytes, name as the deterministic tiebreak.
-/// Returns the bytes freed, or `None` when nothing is evictable.
+/// Evict one prepared pass under memory pressure: that of whichever
+/// dataset (other than `except`) holds the most prepared bytes, name as
+/// the deterministic tiebreak. Returns the bytes freed, or `None` when no
+/// other dataset holds a pass.
 fn evict_coldest_prepared(datasets: &HashMap<String, Arc<Dataset>>, except: &str) -> Option<u64> {
     let mut candidates: Vec<&Arc<Dataset>> =
         datasets.values().filter(|d| d.name != except).collect();
     candidates.sort_by(|a, b| {
-        b.prepared
-            .approx_bytes()
-            .cmp(&a.prepared.approx_bytes())
+        b.prepared_bytes()
+            .cmp(&a.prepared_bytes())
             .then_with(|| a.name.cmp(&b.name))
     });
-    candidates.into_iter().find_map(|d| d.prepared.evict_lru())
+    candidates.into_iter().find_map(|d| d.evict_prepared())
 }

@@ -36,9 +36,9 @@
 //!   deadline (those requests respond `truncated (cancelled)` — still a
 //!   structured response, never a silent drop), and only then confirms.
 //! * **Shared state with versioned invalidation.** Each resident dataset
-//!   version owns a [`PreparedCache`](graphsig_core::PreparedCache) (window
-//!   passes) and one lazily built label-pair index shared by
-//!   `freq`/`sweep`. `load` replaces the whole entry under a bumped
+//!   version owns one lazily prepared window pass, shared by every `mine`
+//!   without a step budget, and one lazily built label-pair index shared
+//!   by `freq`/`sweep`. `load` replaces the whole entry under a bumped
 //!   version: in-flight requests keep mining their pinned `Arc` snapshot,
 //!   new requests see the new version, and the old caches die with their
 //!   last reference.
@@ -84,9 +84,8 @@ pub struct ServerConfig {
     pub max_timeout_ms: Option<u64>,
     /// Ceiling clamping *explicit* `max_steps` requests. Never imposed on
     /// requests without one: a blanket step budget would forfeit both
-    /// byte-identity with the one-shot CLI and window-pass cache reuse
-    /// (step-budgeted runs bypass the cache — see
-    /// [`graphsig_core::cache`]).
+    /// byte-identity with the one-shot CLI and window-pass reuse
+    /// (step-budgeted runs bypass the dataset's prepared pass).
     pub max_steps_ceiling: Option<u64>,
     /// Default drain deadline for shutdown (ms).
     pub drain_ms: u64,
@@ -94,10 +93,10 @@ pub struct ServerConfig {
     /// Off by default; smoke tests and CI turn it on.
     pub allow_inject: bool,
     /// Memory admission ceiling: `load`s that would push the approximate
-    /// resident footprint (databases + prepared-window caches + built
+    /// resident footprint (databases + prepared window passes + built
     /// indexes) past this many bytes are rejected with a structured
-    /// `code=resource_exhausted` error after LRU-evicting cold cache
-    /// entries — the server never OOM-aborts on admission. `None`
+    /// `code=resource_exhausted` error after evicting other datasets'
+    /// prepared passes — the server never OOM-aborts on admission. `None`
     /// disables the governor.
     pub max_resident_bytes: Option<u64>,
     /// Connection auth token. When set, TCP connections must present it
@@ -739,8 +738,8 @@ impl ServerInner {
             budget: Some(self.budget_for(&r.budget, flight)),
             ..cfg.clone()
         };
-        let (outcome, disposition) = dataset.prepared.mine_outcome(&cfg, &dataset.db);
-        MineRun::Done(outcome, disposition)
+        let (outcome, cached) = dataset.mine(&cfg);
+        MineRun::Done(outcome, cached)
     }
 
     fn exec_freq(&self, r: &FreqRequest, flight: &Flight) -> Response {

@@ -693,7 +693,7 @@ fn governor_rejects_oversized_loads_evicts_cold_caches_and_keeps_serving() {
         assert!(big.field(key).is_some(), "rejection must report {key}");
     }
 
-    // The attempt LRU-evicted the cold prepared cache before giving up,
+    // The attempt evicted the prepared pass of `d` before giving up,
     // and stats exposes both the eviction count and residency.
     server.dispatch_line("stats id=s", &out);
     let responses = wait_all(&sink, &["s".into()]);

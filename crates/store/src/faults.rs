@@ -279,11 +279,6 @@ impl Io {
         }
     }
 
-    /// True when a fault plan is attached.
-    pub fn is_faulted(&self) -> bool {
-        self.inner.plan.is_some()
-    }
-
     /// Snapshot the counters.
     pub fn stats(&self) -> IoStats {
         let c = &self.inner.c;

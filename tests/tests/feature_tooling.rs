@@ -1,52 +1,8 @@
-//! The feature-space tooling works together: diagnostics describe the
-//! vector groups, CSV round-trips them, and reports explain the answers.
+//! Reports explain the answers in the feature names the miner used.
 
-use graphsig_core::{compute_all_vectors, describe, group_by_label, GraphSig, GraphSigConfig};
+use graphsig_core::{describe, GraphSig, GraphSigConfig};
 use graphsig_datagen::aids_like;
-use graphsig_features::{FeatureSet, RwrConfig};
-use graphsig_fvmine::{diagnose, from_csv, to_csv, FvMineConfig, FvMiner};
-
-#[test]
-fn diagnostics_reflect_rwr_structure() {
-    let data = aids_like(80, 31);
-    let fs = FeatureSet::for_chemical(&data.db, 5);
-    let all = compute_all_vectors(&data.db, &fs, &RwrConfig::default(), 1);
-    let groups = group_by_label(&all);
-    let carbon = groups.iter().max_by_key(|g| g.vectors.len()).unwrap();
-    let d = diagnose(&carbon.vectors);
-    assert_eq!(d.dim, fs.dim());
-    assert_eq!(d.vectors, carbon.vectors.len());
-    // RWR vectors are sparse: a window touches a handful of features.
-    assert!(
-        d.avg_nonzero < d.dim as f64 / 2.0,
-        "avg nonzero {}",
-        d.avg_nonzero
-    );
-    // At least one feature varies (entropy > 0) — otherwise nothing mines.
-    assert!(d.features.iter().any(|f| f.entropy > 0.5));
-    // Dense chemistry: the carbon-carbon single bond feature is common.
-    assert!(d.features.iter().any(|f| f.density > 0.5));
-    // Duplicates exist (symmetric neighborhoods) — support fuel for FVMine.
-    assert!(d.distinct < d.vectors);
-}
-
-#[test]
-fn csv_export_mines_identically() {
-    let data = aids_like(40, 33);
-    let fs = FeatureSet::for_chemical(&data.db, 5);
-    let all = compute_all_vectors(&data.db, &fs, &RwrConfig::default(), 1);
-    let groups = group_by_label(&all);
-    let group = groups.iter().max_by_key(|g| g.vectors.len()).unwrap();
-    let names: Vec<&str> = (0..fs.dim()).map(|i| fs.name(i)).collect();
-    let text = to_csv(&group.vectors, Some(&names));
-    let (back, header) = from_csv(&text).unwrap();
-    assert_eq!(header.unwrap().len(), fs.dim());
-    assert_eq!(back, group.vectors);
-    let cfg = FvMineConfig::new((group.vectors.len() / 10).max(2), 0.1);
-    let a = FvMiner::new(cfg).mine(&group.vectors);
-    let b = FvMiner::new(cfg).mine(&back);
-    assert_eq!(a.len(), b.len());
-}
+use graphsig_features::FeatureSet;
 
 #[test]
 fn reports_render_for_every_answer() {
