@@ -92,8 +92,11 @@ impl GraphSigClassifier {
     /// vector sets are comparable), then each class is mined independently
     /// with its own empirical priors — a vector significant among actives
     /// describes a region over-represented *within the active class*.
+    ///
+    /// # Panics
+    /// Panics if `cfg.mining` fails [`GraphSigConfig::validate`].
     pub fn train(positive: &GraphDb, negative: &GraphDb, cfg: KnnConfig) -> Self {
-        cfg.mining.validate();
+        cfg.mining.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut union = GraphDb::from_parts(Vec::new(), positive.labels().clone());
         for g in positive.graphs().iter().chain(negative.graphs()) {
             union.push(g.clone());

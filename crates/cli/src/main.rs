@@ -3,6 +3,7 @@
 //! ```text
 //! graphsig mine <transactions.txt> [--max-pvalue 0.1] [--min-freq 0.001]
 //!               [--radius 8] [--fsm-freq 0.8] [--threads N] [--top N]
+//!               [--timeout-ms MS] [--max-steps N]
 //! graphsig stats <transactions.txt>
 //! graphsig generate aids  <n> [--seed S]        # emit a synthetic dataset
 //! graphsig generate screen <NAME> <scale>       # one of the Table V screens
@@ -55,11 +56,12 @@ fn print_usage() {
          \n\
          USAGE:\n\
          \x20 graphsig mine <file> [--max-pvalue P] [--min-freq F] [--radius R]\n\
-         \x20                      [--fsm-freq F] [--threads N] [--top N] [--backend fsg|gspan]\n\
+         \x20                      [--fsm-freq F] [--threads N] [--top N]\n\
          \x20                      [--timeout-ms MS] [--max-steps N]\n\
          \x20                      (--threads 0 = auto: one worker per core; the default)\n\
          \x20                      (--timeout-ms / --max-steps bound the run; a truncated\n\
-         \x20                       run exits 0 and reports its completion on stderr)\n\
+         \x20                       run exits 0 and reports its completion on stderr;\n\
+         \x20                       --max-steps bounds FVMine and FSM, not the RWR pass)\n\
          \x20 graphsig stats <file>\n\
          \x20 graphsig classify <pos.txt> <neg.txt> <query.txt> [--k K] [--min-freq F]\n\
          \x20                      [--timeout-ms MS] [--max-steps N]\n\
@@ -164,7 +166,7 @@ fn load_db(path: &str) -> Result<GraphDb, String> {
 
 fn cmd_mine(args: &[String]) -> Result<(), String> {
     let (mut max_pvalue, mut min_freq, mut radius, mut fsm_freq) = (None, None, None, None);
-    let (mut threads, mut top, mut backend) = (None, None, None);
+    let (mut threads, mut top) = (None, None);
     let (mut timeout_ms, mut max_steps) = (None, None);
     let positional = take_flags(
         args,
@@ -175,7 +177,6 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
             ("--fsm-freq", &mut fsm_freq),
             ("--threads", &mut threads),
             ("--top", &mut top),
-            ("--backend", &mut backend),
             ("--timeout-ms", &mut timeout_ms),
             ("--max-steps", &mut max_steps),
         ],
@@ -193,14 +194,10 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
         fsm_freq: parse_or(&fsm_freq, defaults.fsm_freq, "--fsm-freq")?,
         // 0 = auto (one worker per available core), n = exactly n workers.
         threads: parse_or(&threads, defaults.threads, "--threads")?,
-        fsm_backend: match backend.as_deref() {
-            None | Some("fsg") => graphsig_core::FsmBackend::Fsg,
-            Some("gspan") => graphsig_core::FsmBackend::GSpan,
-            Some(other) => return Err(format!("unknown backend {other}")),
-        },
         budget: parse_budget(&timeout_ms, &max_steps)?,
         ..defaults
     };
+    cfg.validate()?;
     let top: usize = parse_or(&top, usize::MAX, "--top")?;
     let db = load_db(path)?;
 
@@ -588,9 +585,6 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
     let [pos_path, neg_path, query_path] = positional.as_slice() else {
         return Err("classify needs <positive.txt> <negative.txt> <query.txt>".into());
     };
-    let pos = load_db(pos_path)?;
-    let neg = load_db(neg_path)?;
-    let query = load_db(query_path)?;
     let defaults = GraphSigConfig::default();
     let cfg = KnnConfig {
         k: parse_or(&k, 9, "--k")?,
@@ -603,6 +597,10 @@ fn cmd_classify(args: &[String]) -> Result<(), String> {
         },
         ..Default::default()
     };
+    cfg.mining.validate()?;
+    let pos = load_db(pos_path)?;
+    let neg = load_db(neg_path)?;
+    let query = load_db(query_path)?;
     let clf = GraphSigClassifier::train(&pos, &neg, cfg);
     let (np, nn) = clf.model_sizes();
     eprintln!(

@@ -87,9 +87,38 @@ fn mine_rejects_multiple_inputs_and_bad_backend() {
     let (_, err, ok) = run(&["mine", "a.txt", "b.txt"]);
     assert!(!ok);
     assert!(err.contains("exactly one input file"), "{err}");
-    let (_, err, ok) = run(&["mine", "a.txt", "--backend", "quantum"]);
+    // FSG is GraphSig's only FSM engine; its old selector is just unknown.
+    let (_, err, ok) = run(&["mine", "a.txt", "--backend", "gspan"]);
     assert!(!ok);
-    assert!(err.contains("unknown backend"), "{err}");
+    assert!(err.contains("unknown flag --backend"), "{err}");
+}
+
+#[test]
+fn out_of_range_settings_name_the_field() {
+    // A readable input, so only the range check stands between the
+    // settings and the miner.
+    let path = temp_file("range.txt", "t # 0\nv 0 C\nv 1 O\ne 0 1 s\n");
+    let file = path.to_str().expect("utf-8 path");
+    let mut cases: Vec<(Vec<&str>, &str)> = [
+        ("--min-freq", "0", "min_freq"),
+        ("--min-freq", "NaN", "min_freq"),
+        ("--max-pvalue", "2", "max_pvalue"),
+        ("--fsm-freq", "1.5", "fsm_freq"),
+    ]
+    .into_iter()
+    .map(|(flag, bad, field)| (vec!["mine", file, flag, bad], field))
+    .collect();
+    cases.push((
+        vec!["classify", file, file, file, "--min-freq", "0"],
+        "min_freq",
+    ));
+    let runs: Vec<_> = cases.iter().map(|(args, _)| run(args)).collect();
+    std::fs::remove_file(&path).ok();
+    for ((args, field), (_, err, ok)) in cases.iter().zip(runs) {
+        assert!(!ok, "{args:?} must fail");
+        assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+        assert!(err.contains(field), "{args:?} must name {field}: {err}");
+    }
 }
 
 #[test]

@@ -79,10 +79,26 @@ fn server_mine_is_byte_identical_to_one_shot_cli() {
         .expect("one-shot mine");
     assert!(mine.status.success());
     let one_shot = mine.stdout;
+    let budgeted = graphsig()
+        .args([
+            "mine",
+            file.to_str().expect("utf-8 path"),
+            "--min-freq",
+            "0.05",
+            "--max-pvalue",
+            "0.05",
+            "--radius",
+            "3",
+            "--max-steps",
+            "50",
+        ])
+        .output()
+        .expect("one-shot budgeted mine");
+    assert!(budgeted.status.success());
 
     // Same mine through the server: load the same file, ask twice (cold
-    // then warm), then at another threshold (which shares the one prepared
-    // window pass), plus a step-budgeted request for the bypass path.
+    // then warm), then at another threshold and under a step budget (both
+    // share the one prepared window pass).
     let script = format!(
         "load id=L dataset=d path={}\n\
          mine id=cold dataset=d min_freq=0.05 max_pvalue=0.05 radius=3\n\
@@ -112,12 +128,17 @@ fn server_mine_is_byte_identical_to_one_shot_cli() {
     let (other, _) = response(&responses, "other");
     assert_eq!(other.status, Status::Ok, "{other:?}");
     assert_eq!(other.field("cached"), Some("hit"), "{other:?}");
-    let (steps, _) = response(&responses, "steps");
-    assert_eq!(steps.field("cached"), Some("bypass"));
+    // A step budget bounds the search, not the window pass, so the
+    // budgeted run shares the pass and still matches the one-shot CLI.
+    let (steps, steps_body) = response(&responses, "steps");
+    assert_eq!(steps.field("cached"), Some("hit"), "{steps:?}");
+    assert_eq!(
+        steps_body, &budgeted.stdout,
+        "step-budgeted payload differs from one-shot CLI stdout"
+    );
     let (stats, _) = response(&responses, "S");
-    assert_eq!(stats.field("prepared_hits"), Some("2"), "{stats:?}");
+    assert_eq!(stats.field("prepared_hits"), Some("3"), "{stats:?}");
     assert_eq!(stats.field("prepared_misses"), Some("1"), "{stats:?}");
-    assert_eq!(stats.field("prepared_bypasses"), Some("1"));
 }
 
 #[test]

@@ -17,14 +17,13 @@ pub enum WindowKind {
     },
 }
 
-/// Which frequent-subgraph miner runs on the region sets (Alg. 2 line 13).
-/// The paper uses FSG; gSpan is provided as a drop-in alternative.
+/// The frequent-subgraph miner of the region sets (Alg. 2 line 13).
+/// Carries no choice: FSG, the paper's miner, is the only one. Kept only
+/// because the benchmark crate still names it; removed with that use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FsmBackend {
-    /// Level-wise apriori miner (`graphsig-fsg`) — the paper's choice.
+    /// Level-wise apriori miner (`graphsig-fsg`).
     Fsg,
-    /// DFS-code pattern growth (`graphsig-gspan`).
-    GSpan,
 }
 
 /// All GraphSig parameters. `Default` reproduces Table IV of the paper:
@@ -56,7 +55,8 @@ pub struct GraphSigConfig {
     /// Frequency threshold for the maximal-FSM step on each region set
     /// (`fsgFreq`; Table IV: 80%).
     pub fsm_freq: f64,
-    /// Which miner to run on the region sets.
+    /// Carries no choice (see [`FsmBackend`]). Kept only because the
+    /// benchmark crate still reads it; removed with that use.
     pub fsm_backend: FsmBackend,
     /// Edge cap for patterns grown by the FSM step (guards worst-case
     /// region sets; generous by default).
@@ -113,24 +113,27 @@ impl GraphSigConfig {
         self
     }
 
-    /// Validate ranges; called by [`crate::GraphSig::new`].
-    pub fn validate(&self) {
-        assert!(
-            self.max_pvalue >= 0.0 && self.max_pvalue <= 1.0,
-            "max_pvalue must be in [0,1]"
-        );
-        assert!(
-            self.min_freq > 0.0 && self.min_freq <= 1.0,
-            "min_freq must be in (0,1]"
-        );
-        assert!(
-            self.fsm_freq > 0.0 && self.fsm_freq <= 1.0,
-            "fsm_freq must be in (0,1]"
-        );
-        assert!(self.top_k_atoms >= 1, "top_k_atoms must be >= 1");
-        // Every `threads` value is valid: 0 = auto, n >= 1 = exactly n
-        // workers. Kept here so the convention is documented next to the
-        // other range checks.
+    /// Check the ranges of the mining settings; the error names the
+    /// offending field. [`crate::GraphSig::new`] panics on an error, so
+    /// callers holding untrusted values (the CLI, the server) call this
+    /// first. Every `threads` value is valid: 0 = auto, n >= 1 = exactly
+    /// n workers.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.max_pvalue) {
+            return Err(format!(
+                "max_pvalue must be in [0, 1], got {}",
+                self.max_pvalue
+            ));
+        }
+        for (name, v) in [("min_freq", self.min_freq), ("fsm_freq", self.fsm_freq)] {
+            if v == 0.0 || !(0.0..=1.0).contains(&v) {
+                return Err(format!("{name} must be in (0, 1], got {v}"));
+            }
+        }
+        if self.top_k_atoms == 0 {
+            return Err("top_k_atoms must be >= 1".into());
+        }
+        Ok(())
     }
 
     /// Absolute FVMine support threshold for a group of `group_size`
@@ -173,22 +176,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min_freq")]
     fn bad_min_freq_rejected() {
-        let c = GraphSigConfig {
-            min_freq: 0.0,
-            ..Default::default()
-        };
-        c.validate();
+        for min_freq in [0.0, -0.5, 1.5, f64::NAN] {
+            let c = GraphSigConfig {
+                min_freq,
+                ..Default::default()
+            };
+            let e = c.validate().unwrap_err();
+            assert!(e.starts_with("min_freq must be in (0, 1]"), "{e}");
+        }
+        assert_eq!(GraphSigConfig::default().validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "fsm_freq")]
     fn bad_fsm_freq_rejected() {
         let c = GraphSigConfig {
             fsm_freq: 1.5,
             ..Default::default()
         };
-        c.validate();
+        assert_eq!(
+            c.validate(),
+            Err("fsm_freq must be in (0, 1], got 1.5".into())
+        );
+        let c = GraphSigConfig {
+            max_pvalue: 2.0,
+            ..Default::default()
+        };
+        assert!(c.validate().unwrap_err().starts_with("max_pvalue"));
     }
 }

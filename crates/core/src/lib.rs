@@ -20,8 +20,7 @@
 //!    their neighborhoods into a set of region graphs.
 //! 5. **Maximal FSM** (line 13): each region set is mined for maximal
 //!    frequent subgraphs at a *high* threshold (the paper's default: 80%)
-//!    using FSG or gSpan — cheap because the sets are small and
-//!    homogeneous. Sets without a common subgraph produce nothing, which
+//!    using FSG — cheap because the sets are small and homogeneous. Sets without a common subgraph produce nothing, which
 //!    prunes feature-space false positives.
 //!
 //! The result carries, per subgraph, the feature-space evidence (vector,

@@ -1,6 +1,6 @@
 //! The GraphSig pipeline (Algorithm 2 of the paper).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::{Duration, Instant};
 
 use graphsig_features::FeatureSet;
@@ -8,9 +8,9 @@ use graphsig_fsg::{Fsg, FsgConfig};
 use graphsig_fvmine::{is_sub_vector, FvMineConfig, FvMiner, SignificantVector};
 use graphsig_graph::control::{self, Completion, Meter, Outcome, StopReason};
 use graphsig_graph::{cut_graph, Graph, GraphDb, NodeLabel};
-use graphsig_gspan::{DfsCode, GSpan, MinerConfig, Pattern};
+use graphsig_gspan::{DfsCode, Pattern};
 
-use crate::config::{FsmBackend, GraphSigConfig};
+use crate::config::GraphSigConfig;
 use crate::vectors::{compute_all_window_vectors_governed, group_by_label};
 
 /// One mined significant subgraph, with its feature-space and graph-space
@@ -35,38 +35,6 @@ pub struct SignificantSubgraph {
     pub fsm_support: usize,
     /// Distinct database graphs among the supporting regions, ascending.
     pub gids: Vec<u32>,
-}
-
-/// A [`SignificantSubgraph`] minus its canonical code. During the phase-3
-/// dedup the code serves as the `HashMap` key; holding the remaining
-/// fields separately lets the code move into the key and back out into
-/// the final answer without ever being cloned.
-struct CandidateRest {
-    graph: Graph,
-    source_vector: Vec<u8>,
-    vector_pvalue: f64,
-    vector_support: usize,
-    group_label: NodeLabel,
-    set_size: usize,
-    fsm_support: usize,
-    gids: Vec<u32>,
-}
-
-impl CandidateRest {
-    /// Reattach the canonical code.
-    fn into_subgraph(self, code: DfsCode) -> SignificantSubgraph {
-        SignificantSubgraph {
-            graph: self.graph,
-            code,
-            source_vector: self.source_vector,
-            vector_pvalue: self.vector_pvalue,
-            vector_support: self.vector_support,
-            group_label: self.group_label,
-            set_size: self.set_size,
-            fsm_support: self.fsm_support,
-            gids: self.gids,
-        }
-    }
 }
 
 impl SignificantSubgraph {
@@ -168,8 +136,8 @@ pub struct Prepared {
     db_len: usize,
     window: crate::config::WindowKind,
     alpha: f64,
-    /// First stop reason hit during the window pass, if the run's budget
-    /// truncated it (graph-id order).
+    /// First deadline or cancel stop hit during the window pass, if any
+    /// (graph-id order).
     truncation: Option<StopReason>,
 }
 
@@ -200,15 +168,6 @@ impl Prepared {
             })
             .sum::<usize>() as u64
     }
-
-    /// Whether the window pass ran to convergence everywhere or was cut
-    /// short by the run's budget.
-    pub fn completion(&self) -> Completion {
-        match self.truncation {
-            Some(reason) => Completion::Truncated(reason),
-            None => Completion::Complete,
-        }
-    }
 }
 
 /// The GraphSig miner. See the crate docs for the pipeline outline.
@@ -217,9 +176,10 @@ pub struct GraphSig {
 }
 
 impl GraphSig {
-    /// Create a miner; panics on invalid configuration.
+    /// Create a miner; panics on invalid configuration (see
+    /// [`GraphSigConfig::validate`]).
     pub fn new(cfg: GraphSigConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Self { cfg }
     }
 
@@ -415,9 +375,8 @@ impl GraphSig {
             pruned: bool,
             /// Budget stop hit while (or before) mining this set.
             stop: Option<StopReason>,
-            /// `(canonical code, rest of the answer)` pairs; the code is
-            /// moved (never cloned) and becomes the dedup key.
-            candidates: Vec<(DfsCode, CandidateRest)>,
+            /// This set's answers, in FSM output order.
+            candidates: Vec<SignificantSubgraph>,
         }
         let t2 = Instant::now();
         // Outer parallelism spreads the work items across cores; any cores
@@ -472,8 +431,9 @@ impl GraphSig {
                             .collect();
                         gids.sort_unstable();
                         gids.dedup();
-                        let rest = CandidateRest {
+                        SignificantSubgraph {
                             graph: p.graph,
+                            code: p.code,
                             source_vector: sv.vector.clone(),
                             vector_pvalue: sv.p_value,
                             vector_support: sv.support(),
@@ -481,8 +441,7 @@ impl GraphSig {
                             set_size: nodes.len(),
                             fsm_support: p.support,
                             gids,
-                        };
-                        (p.code, rest)
+                        }
                     })
                     .collect();
                 SetOutcome {
@@ -493,11 +452,9 @@ impl GraphSig {
                     candidates,
                 }
             });
-        // Deterministic merge: aggregate counters and dedup in item order.
-        // Keep the most significant evidence per canonical code; the code
-        // itself is transferred into the map key, so dedup allocates
-        // nothing beyond the map entries.
-        let mut best: HashMap<DfsCode, CandidateRest> = HashMap::new();
+        // Deterministic merge: aggregate counters and dedup in item order,
+        // keeping the most significant evidence per canonical code.
+        let mut best: HashMap<DfsCode, SignificantSubgraph> = HashMap::new();
         for outcome in outcomes {
             if truncation.is_none() {
                 truncation = outcome.stop;
@@ -513,15 +470,15 @@ impl GraphSig {
                 stats.pruned_sets += 1;
                 continue;
             }
-            for (code, rest) in outcome.candidates {
-                match best.entry(code) {
-                    std::collections::hash_map::Entry::Occupied(mut o) => {
-                        if rest.vector_pvalue < o.get().vector_pvalue {
-                            o.insert(rest);
+            for sg in outcome.candidates {
+                match best.entry(sg.code.clone()) {
+                    Entry::Occupied(mut o) => {
+                        if sg.vector_pvalue < o.get().vector_pvalue {
+                            o.insert(sg);
                         }
                     }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(rest);
+                    Entry::Vacant(v) => {
+                        v.insert(sg);
                     }
                 }
             }
@@ -531,29 +488,16 @@ impl GraphSig {
         stats.canon_calls = budget.map_or(0, |b| b.canon_calls());
         stats.cert_hits = budget.map_or(0, |b| b.cert_hits());
 
-        // Final sort with the canonical-code tiebreak key computed once per
-        // subgraph (it allocates a Vec — computing it inside the comparator
-        // would cost O(n log n) allocations).
-        let code_key = |c: &DfsCode| {
-            c.edges()
-                .iter()
-                .map(|e| (e.from, e.to, e.from_label, e.edge_label, e.to_label))
-                .collect::<Vec<_>>()
-        };
-        let mut decorated: Vec<_> = best
-            .into_iter()
-            .map(|(code, rest)| (code_key(&code), rest.into_subgraph(code)))
-            .collect();
-        decorated.sort_by(|(ka, a), (kb, b)| {
+        let mut subgraphs: Vec<SignificantSubgraph> = best.into_values().collect();
+        subgraphs.sort_by(|a, b| {
             a.vector_pvalue
                 .partial_cmp(&b.vector_pvalue)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| b.graph.edge_count().cmp(&a.graph.edge_count()))
                 // Canonical-code tiebreak: HashMap iteration order must not
                 // leak into the result.
-                .then_with(|| ka.cmp(kb))
+                .then_with(|| a.code.cmp(&b.code))
         });
-        let subgraphs: Vec<SignificantSubgraph> = decorated.into_iter().map(|(_, sg)| sg).collect();
         let mut completion = match truncation {
             Some(reason) => Completion::Truncated(reason),
             None => Completion::Complete,
@@ -571,8 +515,8 @@ impl GraphSig {
         )
     }
 
-    /// Run the configured miner with `threads` workers and return
-    /// `(maximal patterns, hit the per-set pattern cap, budget stop)`.
+    /// Run FSG with `threads` workers and return `(maximal patterns, hit the
+    /// per-set pattern cap, budget stop)`.
     fn maximal_fsm(
         &self,
         regions: &GraphDb,
@@ -583,28 +527,14 @@ impl GraphSig {
             return (Vec::new(), false, None);
         }
         let cap = self.cfg.max_patterns_per_set;
-        let outcome = match self.cfg.fsm_backend {
-            FsmBackend::Fsg => {
-                let mut cfg = FsgConfig::new(support)
-                    .with_max_edges(self.cfg.max_pattern_edges)
-                    .with_max_patterns(cap)
-                    .with_threads(threads);
-                if let Some(b) = self.cfg.budget.as_ref() {
-                    cfg = cfg.with_budget(b.clone());
-                }
-                Fsg::new(cfg).mine_outcome(regions)
-            }
-            FsmBackend::GSpan => {
-                let mut cfg = MinerConfig::new(support)
-                    .with_max_edges(self.cfg.max_pattern_edges)
-                    .with_max_patterns(cap)
-                    .with_threads(threads);
-                if let Some(b) = self.cfg.budget.as_ref() {
-                    cfg = cfg.with_budget(b.clone());
-                }
-                GSpan::new(cfg).mine_outcome(regions)
-            }
-        };
+        let mut cfg = FsgConfig::new(support)
+            .with_max_edges(self.cfg.max_pattern_edges)
+            .with_max_patterns(cap)
+            .with_threads(threads);
+        if let Some(b) = self.cfg.budget.as_ref() {
+            cfg = cfg.with_budget(b.clone());
+        }
+        let outcome = Fsg::new(cfg).mine_outcome(regions);
         let all = outcome.result;
         let truncated = all.len() >= cap;
         // The per-set pattern cap is already surfaced through `truncated`
@@ -724,20 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn gspan_backend_also_works() {
-        let data = aids_like(300, 47);
-        let cfg = GraphSigConfig {
-            fsm_backend: FsmBackend::GSpan,
-            ..test_cfg()
-        };
-        let result = GraphSig::new(cfg).mine(&data.active_subset());
-        assert!(!result.subgraphs.is_empty());
-        for sg in &result.subgraphs {
-            assert!(verify_occurrences(sg, &data.active_subset()));
-        }
-    }
-
-    #[test]
     fn benzene_is_not_significant() {
         // Benzene is in ~70% of molecules regardless of class: in the
         // full database its regions look statistically unremarkable, so no
@@ -846,6 +762,44 @@ mod budget_tests {
                 assert_eq!(runs[0].1, Completion::Truncated(StopReason::StepBudget));
                 assert!(runs[0].0.is_empty(), "zero budget must yield no subgraphs");
             }
+        }
+    }
+
+    #[test]
+    fn step_budget_answers_are_a_subset_of_the_complete_answer() {
+        // A step budget bounds the search, never the window pass: every
+        // subgraph a truncated run reports is one the complete run reports.
+        let data = aids_like(60, 12);
+        let db = &data.db;
+        let cfg = || GraphSigConfig {
+            min_freq: 0.05,
+            max_pvalue: 0.05,
+            radius: 3,
+            ..Default::default()
+        };
+        let complete = GraphSig::new(cfg()).mine(db);
+        let codes: std::collections::HashSet<&DfsCode> =
+            complete.subgraphs.iter().map(|s| &s.code).collect();
+        for max_steps in [1_000u64, 2_000] {
+            let c = cfg().with_budget(Budget::unlimited().with_max_steps(max_steps));
+            let outcome = GraphSig::new(c).mine_outcome(db);
+            assert_eq!(
+                outcome.completion,
+                Completion::Truncated(StopReason::StepBudget),
+                "max_steps={max_steps}"
+            );
+            let absent = outcome
+                .result
+                .subgraphs
+                .iter()
+                .filter(|s| !codes.contains(&s.code))
+                .count();
+            assert_eq!(
+                absent,
+                0,
+                "max_steps={max_steps}: {absent} of {} subgraphs absent from the complete answer",
+                outcome.result.subgraphs.len()
+            );
         }
     }
 

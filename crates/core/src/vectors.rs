@@ -3,13 +3,14 @@
 //! `D <- D + RWR(g)` for every graph, then `D_a <- {v in D : label(v) = a}`.
 //! The RWR pass is embarrassingly parallel across graphs and runs through
 //! the shared dynamically-scheduled executor ([`crate::par`]) when more
-//! than one thread is configured (`threads == 0` means auto).
+//! than one thread is configured (`threads == 0` means auto). It computes a
+//! fixed point rather than searching, so a step budget never meters it:
+//! step budgets bound FVMine and FSM only.
 
 use graphsig_features::{
-    graph_count_vectors, graph_feature_vectors, graph_feature_vectors_metered, FeatureSet,
-    NodeVector, RwrConfig,
+    graph_count_vectors, graph_feature_vectors, FeatureSet, NodeVector, RwrConfig,
 };
-use graphsig_graph::control::{self, Budget, Meter, StopReason};
+use graphsig_graph::control::{self, Budget, StopReason};
 use graphsig_graph::{GraphDb, NodeLabel};
 
 use crate::config::WindowKind;
@@ -61,14 +62,14 @@ pub fn compute_all_window_vectors(
     compute_all_window_vectors_governed(db, fs, rwr, window, threads, None).0
 }
 
-/// [`compute_all_window_vectors`] under a resource [`Budget`]. Each graph is
-/// one metered work unit (one RWR power-iteration sweep = one step), so
-/// step-budget truncation is a per-graph property and the output is
-/// byte-identical for any thread count. Truncated graphs still emit one
-/// vector per node — computed from however many sweeps the budget allowed
-/// (zero sweeps = the point mass at each source node) — so downstream phases
-/// always see structurally complete input. The second return value is the
-/// first stop reason encountered, in graph-id order.
+/// [`compute_all_window_vectors`] under a resource [`Budget`]. Only the
+/// deadline and the cancel token govern the pass, checked before each
+/// graph; a step budget does not apply, so the vectors of a step-budgeted
+/// run are the converged ones. A graph started after a stop gets zero
+/// sweeps (the point mass at each source node), so downstream phases still
+/// see one vector per node; the stop is sticky, so those phases skip every
+/// unit and never mine these vectors. The second return value is the first
+/// stop reason encountered, in graph-id order.
 pub fn compute_all_window_vectors_governed(
     db: &GraphDb,
     fs: &FeatureSet,
@@ -83,28 +84,17 @@ pub fn compute_all_window_vectors_governed(
     let per_graph: Vec<(GraphVectors, Option<StopReason>)> =
         crate::par::par_map_range(threads, db.len(), |gid| {
             let g = db.graph(gid);
-            let early = control::check_start(budget);
-            let (vectors, stop) = match window {
-                WindowKind::Rwr => {
-                    if early.is_some() {
-                        // Already cancelled / past the deadline: run zero
-                        // sweeps so every node still gets a well-formed
-                        // (point-mass) vector.
-                        let degenerate = RwrConfig {
-                            max_iters: 0,
-                            ..*rwr
-                        };
-                        (graph_feature_vectors(g, fs, &degenerate), early)
-                    } else {
-                        let mut meter = Meter::new(budget);
-                        let v = graph_feature_vectors_metered(g, fs, rwr, &mut meter);
-                        let stop = meter.stop_reason();
-                        (v, stop)
-                    }
+            let stop = control::check_start(budget);
+            let vectors = match window {
+                WindowKind::Rwr if stop.is_some() => {
+                    let degenerate = RwrConfig {
+                        max_iters: 0,
+                        ..*rwr
+                    };
+                    graph_feature_vectors(g, fs, &degenerate)
                 }
-                // The counting window has no iterative inner loop to meter;
-                // only the start-of-unit deadline/cancel check applies.
-                WindowKind::Count { radius } => (graph_count_vectors(g, radius, fs), early),
+                WindowKind::Rwr => graph_feature_vectors(g, fs, rwr),
+                WindowKind::Count { radius } => graph_count_vectors(g, radius, fs),
             };
             (
                 GraphVectors {

@@ -18,9 +18,8 @@ pub mod selection;
 pub mod window_count;
 
 pub use rwr::{
-    discretize, feature_distribution, feature_distribution_metered, graph_feature_vectors,
-    graph_feature_vectors_metered, rwr_node_distribution, rwr_node_distribution_metered,
-    NodeVector, RwrConfig,
+    discretize, feature_distribution, graph_feature_vectors, rwr_node_distribution, NodeVector,
+    RwrConfig,
 };
 pub use selection::{greedy_select, FeatureKind, FeatureSet, GreedyParams};
 pub use window_count::{count_feature_distribution, graph_count_vectors};

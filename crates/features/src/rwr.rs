@@ -14,9 +14,12 @@
 //! only when the edge-type traversed is not in F"). The resulting
 //! distribution over features sums to 1 and each value is discretized into
 //! ten bins by `round(10 · v)` (paper: 0.07 → 1, 0.34 → 3).
+//!
+//! The pass is a fixed point, not a search: it is capped at
+//! `max_iters` sweeps per node and takes no step budget. Callers that
+//! govern a run check its deadline and cancellation between graphs.
 
 use crate::selection::FeatureSet;
-use graphsig_graph::control::Meter;
 use graphsig_graph::{Graph, NodeId, NodeLabel};
 
 /// RWR parameters. The paper's Table IV default is `alpha = 0.25`.
@@ -62,19 +65,6 @@ pub struct NodeVector {
 /// # Panics
 /// Panics if `source` is out of range or `alpha` is outside `(0, 1]`.
 pub fn rwr_node_distribution(g: &Graph, source: NodeId, cfg: &RwrConfig) -> Vec<f64> {
-    rwr_node_distribution_metered(g, source, cfg, &mut Meter::unbudgeted())
-}
-
-/// [`rwr_node_distribution`] under a step budget: one step per power-iteration
-/// sweep. If the meter stops mid-iteration the *current* iterate is returned —
-/// always a well-formed distribution (non-negative, sums to 1), just not
-/// converged to `epsilon`.
-pub fn rwr_node_distribution_metered(
-    g: &Graph,
-    source: NodeId,
-    cfg: &RwrConfig,
-    meter: &mut Meter<'_>,
-) -> Vec<f64> {
     assert!((source as usize) < g.node_count(), "source out of range");
     assert!(
         cfg.alpha > 0.0 && cfg.alpha <= 1.0,
@@ -86,9 +76,6 @@ pub fn rwr_node_distribution_metered(
     pi[source as usize] = 1.0;
     let mut next = vec![0.0f64; n];
     for _ in 0..cfg.max_iters {
-        if !meter.tick() {
-            break;
-        }
         next.iter_mut().for_each(|x| *x = 0.0);
         next[source as usize] = cfg.alpha;
         for (i, &mass) in pi.iter().enumerate() {
@@ -124,21 +111,7 @@ pub fn feature_distribution(
     fs: &FeatureSet,
     cfg: &RwrConfig,
 ) -> Vec<f64> {
-    feature_distribution_metered(g, source, fs, cfg, &mut Meter::unbudgeted())
-}
-
-/// [`feature_distribution`] under a step budget (see
-/// [`rwr_node_distribution_metered`]). The result is always a well-formed
-/// feature distribution, computed from however many RWR sweeps the budget
-/// allowed.
-pub fn feature_distribution_metered(
-    g: &Graph,
-    source: NodeId,
-    fs: &FeatureSet,
-    cfg: &RwrConfig,
-    meter: &mut Meter<'_>,
-) -> Vec<f64> {
-    let pi = rwr_node_distribution_metered(g, source, cfg, meter);
+    let pi = rwr_node_distribution(g, source, cfg);
     let mut dist = vec![0.0f64; fs.dim()];
     let mut total = 0.0f64;
     for (i, &mass) in pi.iter().enumerate() {
@@ -182,24 +155,9 @@ pub fn discretize(v: f64) -> u8 {
 /// Run RWR on every node of `g`, producing one discretized [`NodeVector`]
 /// per node — the full "sliding window" pass of Section II.
 pub fn graph_feature_vectors(g: &Graph, fs: &FeatureSet, cfg: &RwrConfig) -> Vec<NodeVector> {
-    graph_feature_vectors_metered(g, fs, cfg, &mut Meter::unbudgeted())
-}
-
-/// [`graph_feature_vectors`] under a step budget: each power-iteration sweep
-/// of each node's RWR costs one step. Exhaustion degrades gracefully — every
-/// node still gets a vector, but vectors computed after the stop reflect zero
-/// sweeps (the point mass at the source), so downstream phases always see a
-/// structurally complete input. Check `meter.stop_reason()` to learn whether
-/// (and why) the pass was truncated.
-pub fn graph_feature_vectors_metered(
-    g: &Graph,
-    fs: &FeatureSet,
-    cfg: &RwrConfig,
-    meter: &mut Meter<'_>,
-) -> Vec<NodeVector> {
     g.nodes()
         .map(|n| {
-            let dist = feature_distribution_metered(g, n, fs, cfg, meter);
+            let dist = feature_distribution(g, n, fs, cfg);
             NodeVector {
                 node: n,
                 label: g.node_label(n),
@@ -355,41 +313,6 @@ mod tests {
             let total: i32 = v.bins.iter().map(|&b| b as i32).sum();
             assert!((total - 10).abs() <= 3, "bin total {total}");
         }
-    }
-
-    #[test]
-    fn metered_rwr_truncates_to_wellformed_distributions() {
-        use graphsig_graph::control::{Budget, StopReason};
-        let db = chain_db();
-        let fs = crate::selection::FeatureSet::for_chemical(&db, 5);
-        let g = db.graph(0);
-
-        // Unlimited meter reproduces the unmetered pass exactly.
-        let mut unlimited = Meter::unbudgeted();
-        let full = graph_feature_vectors_metered(g, &fs, &cfg(), &mut unlimited);
-        assert_eq!(full, graph_feature_vectors(g, &fs, &cfg()));
-        assert!(unlimited.stop_reason().is_none());
-
-        // A zero budget stops before the first sweep: every node's RWR stays
-        // the point mass at its source, so vectors are still well-formed and
-        // the meter records why the pass was cut short.
-        let budget = Budget::unlimited().with_max_steps(0);
-        let mut meter = budget.meter();
-        let truncated = graph_feature_vectors_metered(g, &fs, &cfg(), &mut meter);
-        assert_eq!(meter.stop_reason(), Some(StopReason::StepBudget));
-        assert_eq!(truncated.len(), full.len());
-        for v in &truncated {
-            assert_eq!(v.bins.len(), fs.dim());
-            let total: i32 = v.bins.iter().map(|&b| b as i32).sum();
-            assert!((total - 10).abs() <= 3, "bin total {total}");
-        }
-        // Deterministic: the same budget yields byte-identical output.
-        let budget2 = Budget::unlimited().with_max_steps(0);
-        let mut meter2 = budget2.meter();
-        assert_eq!(
-            truncated,
-            graph_feature_vectors_metered(g, &fs, &cfg(), &mut meter2)
-        );
     }
 
     #[test]

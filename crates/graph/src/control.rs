@@ -5,8 +5,10 @@
 //! whole workspace shares: a [`Budget`] carries an optional wall-clock
 //! deadline, an optional cooperative *step* budget, and a [`CancelToken`];
 //! search loops (subgraph-match steps, gSpan DFS extensions, FSG candidate
-//! joins, FVMine branch expansions, RWR iterations) tick a [`Meter`] and
-//! stop cooperatively when the budget is exhausted. Results are reported
+//! joins, FVMine branch expansions) tick a [`Meter`] and stop cooperatively
+//! when the budget is exhausted. GraphSig's RWR window pass is a fixed
+//! point, not a search: no step budget meters it, and it checks only the
+//! deadline and the cancel token, before each graph. Results are reported
 //! as an [`Outcome`] whose [`Completion`] says whether the search ran to
 //! completion or was truncated, and why.
 //!
@@ -19,8 +21,8 @@
 //! * **Step budget — deterministic.** `max_steps` is a *per-work-unit
 //!   allowance*, not a globally shared pool: each independent unit of work
 //!   (a gSpan seed subtree, an FSG parent or candidate, an FVMine label
-//!   group, a region set, one graph's RWR pass, one subgraph match) gets a
-//!   fresh [`Meter`] counting from zero. Whether a unit exhausts its
+//!   group, a region set, one subgraph match) gets a fresh [`Meter`]
+//!   counting from zero. Whether a unit exhausts its
 //!   allowance is a property of the unit alone — independent of thread
 //!   count and scheduling — so truncated results are byte-identical across
 //!   thread counts. (A shared atomic pool would race: which unit drains

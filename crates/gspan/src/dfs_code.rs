@@ -11,8 +11,10 @@ use graphsig_graph::{EdgeLabel, Graph, GraphBuilder, NodeLabel};
 
 /// One DFS-code edge `(from, to, from_label, edge_label, to_label)`.
 ///
-/// `from`/`to` are DFS discovery indices, not graph node ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// `from`/`to` are DFS discovery indices, not graph node ids. `Ord`
+/// compares the fields in declaration order: a deterministic tiebreak
+/// order, not gSpan's [`extension_order`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DfsEdge {
     /// DFS index of the source endpoint.
     pub from: u32,
@@ -76,7 +78,9 @@ pub fn extension_order(a: &DfsEdge, b: &DfsEdge) -> std::cmp::Ordering {
 }
 
 /// A DFS code: an edge sequence representing one connected labeled graph.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+/// `Ord` is lexicographic over [`DfsEdge`]'s tiebreak order, not gSpan's
+/// code order.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DfsCode {
     edges: Vec<DfsEdge>,
 }

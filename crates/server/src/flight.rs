@@ -20,10 +20,11 @@
 //! its flight with the same structured error.
 //!
 //! Explicitly budgeted mines (`timeout_ms`/`max_steps`) never coalesce: a
-//! step budget is a per-request determinism contract (such runs bypass the
-//! dataset's prepared window pass for the same reason), and a deadline
-//! anchors to its own request's submission. Unbudgeted riders adopt the
-//! leader's effective budget (the server's default ceilings).
+//! step budget is a per-request determinism contract, and a deadline
+//! anchors to its own request's submission. They still mine the dataset
+//! version's one prepared window pass, as every mine does. Unbudgeted
+//! riders adopt the leader's effective budget (the server's default
+//! ceilings).
 //!
 //! # Locks
 //!
@@ -66,7 +67,6 @@ pub(crate) struct MineKey {
     min_freq_bits: u64,
     fsm_freq_bits: u64,
     radius: usize,
-    backend: graphsig_core::FsmBackend,
     threads: usize,
     sleep_ms: Option<u64>,
     inject_panic: bool,
@@ -87,7 +87,6 @@ impl MineKey {
             min_freq_bits: cfg.min_freq.to_bits(),
             fsm_freq_bits: cfg.fsm_freq.to_bits(),
             radius: cfg.radius,
-            backend: cfg.fsm_backend,
             threads: cfg.threads,
             sleep_ms: r.sleep_ms,
             inject_panic: r.inject_panic,

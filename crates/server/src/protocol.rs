@@ -23,8 +23,8 @@
 //! | op | keys |
 //! |---|---|
 //! | `load` | `dataset=` plus `path=` *or* `gen=aids count= [seed=]`; `[format=text\|packed]` (`packed` opens a sharded store directory leniently — damaged shards are quarantined and the dataset serves degraded); `[append=true]` extends the resident dataset instead of replacing it (as a new version, which builds its own caches) |
-//! | `mine` | `dataset=` `[max_pvalue=] [min_freq=] [radius=] [fsm_freq=] [backend=fsg\|gspan] [threads=] [top=] [timeout_ms=] [max_steps=]` (+ fault-injection keys `sleep_ms=` / `inject=panic`, only honored when the server enables them); `threads=` is clamped to the server's core count (0 = auto) |
-//! | `freq` | `dataset=` `min_support=` `[backend=] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]`; `threads=` clamped as for `mine` |
+//! | `mine` | `dataset=` `[max_pvalue=] [min_freq=] [radius=] [fsm_freq=] [threads=] [top=] [timeout_ms=] [max_steps=]` (+ fault-injection keys `sleep_ms=` / `inject=panic`, only honored when the server enables them); `threads=` is clamped to the server's core count (0 = auto) |
+//! | `freq` | `dataset=` `min_support=` `[backend=fsg\|gspan] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]`; `threads=` clamped as for `mine` |
 //! | `sweep` | `dataset=` `supports=<s1,s2,...>` `[backend=] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]` — one `freq` run per threshold, in order on one worker, over one shared index build; per-threshold payload segments are byte-identical to individual `freq` calls; `threads=` clamped as for `mine` |
 //! | `stats` | `[dataset=]` |
 //! | `cancel` | `target=<request id>` |
@@ -120,7 +120,7 @@ pub fn unescape(token: &str) -> Result<String, ProtocolError> {
     String::from_utf8(out).map_err(|_| err(format!("escape in '{token}' is not valid UTF-8")))
 }
 
-/// Which FSM backend a request names.
+/// Which frequent-subgraph miner a `freq` or `sweep` request names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// Level-wise apriori (`graphsig-fsg`), the default.
@@ -194,8 +194,6 @@ pub struct MineRequest {
     pub radius: Option<usize>,
     /// `fsm_freq` override.
     pub fsm_freq: Option<f64>,
-    /// FSM backend override.
-    pub backend: Option<BackendKind>,
     /// Worker threads for this request (0 = auto).
     pub threads: Option<usize>,
     /// Cap on rendered subgraphs (like the CLI's `--top`).
@@ -493,7 +491,6 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
                     min_freq: fields.take_parse("min_freq")?,
                     radius: fields.take_parse("radius")?,
                     fsm_freq: fields.take_parse("fsm_freq")?,
-                    backend: fields.take_backend()?,
                     threads: fields.take_parse("threads")?,
                     top: fields.take_parse("top")?,
                     budget: fields.take_budget()?,
@@ -808,18 +805,22 @@ mod tests {
     #[test]
     fn parses_mine_with_all_keys() {
         let line = "mine id=7 dataset=aids max_pvalue=0.05 min_freq=0.1 radius=4 \
-                    fsm_freq=0.9 backend=gspan threads=2 top=10 timeout_ms=500 max_steps=100";
+                    fsm_freq=0.9 threads=2 top=10 timeout_ms=500 max_steps=100";
         let Ok(Some(Request::Mine(r))) = parse_request(line) else {
             panic!("parse failed");
         };
         assert_eq!(r.id, "7");
         assert_eq!(r.dataset, "aids");
         assert_eq!(r.max_pvalue, Some(0.05));
-        assert_eq!(r.backend, Some(BackendKind::GSpan));
         assert_eq!(r.budget.timeout_ms, Some(500));
         assert_eq!(r.budget.max_steps, Some(100));
         assert_eq!(r.top, Some(10));
         assert!(!r.inject_panic);
+        // FSG is GraphSig's only FSM engine, so `mine` has no miner key.
+        let Err(e) = parse_request("mine id=8 dataset=d backend=gspan") else {
+            panic!("accepted backend= on mine");
+        };
+        assert_eq!(e.to_string(), "unknown key 'backend' for op 'mine'");
     }
 
     #[test]

@@ -67,8 +67,6 @@ pub(crate) enum Cached {
     Hit,
     /// Prepared the pass, then mined against it.
     Miss,
-    /// Step-budgeted: ran the one-shot pipeline, pass untouched.
-    Bypass,
 }
 
 impl std::fmt::Display for Cached {
@@ -76,7 +74,6 @@ impl std::fmt::Display for Cached {
         f.write_str(match self {
             Cached::Hit => "hit",
             Cached::Miss => "miss",
-            Cached::Bypass => "bypass",
         })
     }
 }
@@ -92,12 +89,11 @@ pub(crate) struct Dataset {
     /// checks never re-walk the graphs.
     pub(crate) db_bytes: u64,
     /// The version's one prepared window pass, built unbudgeted by the
-    /// first mine that may share it. Eviction swaps in an empty cell; a
-    /// mine holding the old one finishes on it.
+    /// first mine. Eviction swaps in an empty cell; a mine holding the old
+    /// one finishes on it.
     prepared: Mutex<Arc<OnceLock<Arc<Prepared>>>>,
     prepared_hits: AtomicU64,
     prepared_misses: AtomicU64,
-    prepared_bypasses: AtomicU64,
     /// The version's one label-pair index, built on first use.
     index: OnceLock<Arc<LabelPairIndex>>,
     /// Set when the dataset came (in part) from a packed store.
@@ -115,18 +111,14 @@ impl Dataset {
             .clone()
     }
 
-    /// Governed mining of this version: the same outcome as
-    /// `GraphSig::new(cfg).mine_outcome(&self.db)`, plus how the prepared
-    /// pass was used. Concurrent first mines prepare once; the others block
-    /// on the cell and count as hits.
+    /// Governed mining of this version against its one prepared pass, plus
+    /// how the pass was used. A step budget never meters the window pass,
+    /// so the outcome equals `GraphSig::new(cfg).mine_outcome(&self.db)`
+    /// for every step budget. The pass is prepared unbudgeted, so no
+    /// request's deadline or cancel can leave a cut-short pass in the cell.
+    /// Concurrent first mines prepare once; the others block on the cell
+    /// and count as hits.
     pub(crate) fn mine(&self, cfg: &GraphSigConfig) -> (Outcome<GraphSigResult>, Cached) {
-        // A step budget meters the one-shot run's window pass too, so
-        // sharing the unbudgeted pass would break byte identity with it.
-        if cfg.budget.as_ref().is_some_and(|b| b.max_steps().is_some()) {
-            self.prepared_bypasses.fetch_add(1, Ordering::Relaxed);
-            let outcome = GraphSig::new(cfg.clone()).mine_outcome(&self.db);
-            return (outcome, Cached::Bypass);
-        }
         let cell = Arc::clone(&lock(&self.prepared));
         let mut missed = false;
         let prepared = cell.get_or_init(|| {
@@ -229,7 +221,6 @@ impl Dataset {
             .with_field("edges", s.total_edges)
             .with_field("prepared_hits", count(&self.prepared_hits))
             .with_field("prepared_misses", count(&self.prepared_misses))
-            .with_field("prepared_bypasses", count(&self.prepared_bypasses))
             .with_field("prepared_entries", entries)
             .with_field("resident_bytes", resident);
         let resp = self.with_store_fields(resp);
@@ -424,7 +415,6 @@ impl LoadTurn<'_> {
             prepared: Mutex::default(),
             prepared_hits: AtomicU64::new(0),
             prepared_misses: AtomicU64::new(0),
-            prepared_bypasses: AtomicU64::new(0),
             index: OnceLock::new(),
             store,
         });

@@ -36,9 +36,8 @@
 //!   deadline (those requests respond `truncated (cancelled)` — still a
 //!   structured response, never a silent drop), and only then confirms.
 //! * **Shared state with versioned invalidation.** Each resident dataset
-//!   version owns one lazily prepared window pass, shared by every `mine`
-//!   without a step budget, and one lazily built label-pair index shared
-//!   by `freq`/`sweep`. `load` replaces the whole entry under a bumped
+//!   version owns one lazily prepared window pass, shared by every `mine`,
+//!   and one lazily built label-pair index shared by `freq`/`sweep`. `load` replaces the whole entry under a bumped
 //!   version: in-flight requests keep mining their pinned `Arc` snapshot,
 //!   new requests see the new version, and the old caches die with their
 //!   last reference.
@@ -56,7 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use graphsig_core::{Budget, CancelToken, Completion, FsmBackend, GraphSigConfig};
+use graphsig_core::{Budget, CancelToken, Completion, GraphSigConfig};
 use graphsig_graph::{parse_transactions_into, GraphDb};
 
 use crate::flight::{
@@ -64,8 +63,8 @@ use crate::flight::{
     Rider, Scheduler, Seat, Unit,
 };
 use crate::protocol::{
-    parse_request, BackendKind, BudgetParams, FreqRequest, LoadFormat, LoadRequest, LoadSource,
-    MineRequest, ProtocolError, Request, Response, Status, SweepRequest,
+    parse_request, BudgetParams, FreqRequest, LoadFormat, LoadRequest, LoadSource, MineRequest,
+    ProtocolError, Request, Response, Status, SweepRequest,
 };
 use crate::registry::{unknown_dataset, Dataset, Exhausted, Registry, StoreInfo};
 
@@ -83,9 +82,8 @@ pub struct ServerConfig {
     /// not ask for a deadline.
     pub max_timeout_ms: Option<u64>,
     /// Ceiling clamping *explicit* `max_steps` requests. Never imposed on
-    /// requests without one: a blanket step budget would forfeit both
-    /// byte-identity with the one-shot CLI and window-pass reuse
-    /// (step-budgeted runs bypass the dataset's prepared pass).
+    /// requests without one: a blanket step budget would truncate their
+    /// search and forfeit byte identity with the unbudgeted one-shot CLI.
     pub max_steps_ceiling: Option<u64>,
     /// Default drain deadline for shutdown (ms).
     pub drain_ms: u64,
@@ -677,22 +675,11 @@ impl ServerInner {
             radius: r.radius.unwrap_or(defaults.radius),
             fsm_freq: r.fsm_freq.unwrap_or(defaults.fsm_freq),
             threads: request_threads(r.threads),
-            fsm_backend: match r.backend {
-                None | Some(BackendKind::Fsg) => FsmBackend::Fsg,
-                Some(BackendKind::GSpan) => FsmBackend::GSpan,
-            },
             ..defaults
         };
-        let in_range = (0.0..=1.0).contains(&cfg.max_pvalue)
-            && cfg.min_freq > 0.0
-            && cfg.min_freq <= 1.0
-            && cfg.fsm_freq > 0.0
-            && cfg.fsm_freq <= 1.0;
-        if !in_range {
-            // GraphSig::new asserts on these; reject structured instead.
-            return error(
-                "thresholds out of range: need max_pvalue in [0,1], min_freq and fsm_freq in (0,1]",
-            );
+        // GraphSig::new panics on these; reject structured instead.
+        if let Err(e) = cfg.validate() {
+            return error(&e);
         }
         // Explicit budgets run solo: a step budget is a determinism
         // contract with this request, and a deadline anchors to this

@@ -113,12 +113,12 @@ fn concurrent_mixed_budget_load_is_byte_identical_to_one_shot() {
             "client {t}: unbudgeted payload differs from one-shot"
         );
         // Step-budgeted requests: deterministic truncation, identical to
-        // the one-shot budgeted run (cache bypassed by design).
+        // the one-shot budgeted run, mined from the shared prepared pass.
         let (h, body) = responses
             .iter()
             .find(|(h, _)| h.id == format!("t{t}r1"))
             .expect("step-budgeted response");
-        assert_eq!(h.field("cached"), Some("bypass"));
+        assert!(matches!(h.field("cached"), Some("hit" | "miss")), "{h:?}");
         assert_eq!(
             h.field("completion"),
             Some(budgeted.completion.to_string().as_str())
@@ -131,13 +131,11 @@ fn concurrent_mixed_budget_load_is_byte_identical_to_one_shot() {
             .expect("deadline response");
         assert_eq!(h.status, Status::Ok);
     }
-    // At most one window pass was prepared across all 8 cache-eligible
-    // requests (4 unbudgeted + 4 deadline).
+    // One window pass was prepared across all 12 requests.
     server.dispatch_line("stats id=S dataset=d", &out);
     let responses = wait_all(&sink, &["S".to_string()]);
     let (h, _) = responses.iter().find(|(h, _)| h.id == "S").unwrap();
     assert_eq!(h.field("prepared_misses"), Some("1"));
-    assert_eq!(h.field("prepared_bypasses"), Some("4"));
     server.join();
 }
 

@@ -12,7 +12,7 @@ for bin in fig02_fsm_scalability fig04_atom_coverage table05_datasets \
            fig11_time_vs_dbsize fig12_time_vs_pvalue \
            fig13_15_significant_structures fig16_pvalue_vs_frequency \
            classifier_eval ablation_rwr_vs_count ablation_fvmine_pruning \
-           ablation_fsm_backend ablation_significant_vs_frequent; do
+           ablation_significant_vs_frequent; do
   echo "=== $bin ==="
   ./target/release/$bin "${SCALE_ARG[@]}" | tee "results/$bin.txt"
   echo

@@ -3,22 +3,21 @@
 //! The parallel executor must be invisible in the output: for any worker
 //! count, `GraphSig::mine` must return byte-identical subgraphs (codes,
 //! gids, p-values) and identical run counters. This pins the index-ordered
-//! merge invariant of `graphsig_core::par` end to end, for both FSM
-//! backends and for the `Prepared`-reuse path.
+//! merge invariant of `graphsig_core::par` end to end, including the
+//! `Prepared`-reuse path.
 
-use graphsig_core::{Budget, FsmBackend, GraphSig, GraphSigConfig, GraphSigResult};
+use graphsig_core::{Budget, GraphSig, GraphSigConfig, GraphSigResult};
 use graphsig_datagen::aids_like;
 use graphsig_fsg::{Fsg, FsgConfig};
 use graphsig_gspan::{GSpan, MinerConfig, Pattern};
 use proptest::{proptest, ProptestConfig};
 
-fn cfg(threads: usize, backend: FsmBackend) -> GraphSigConfig {
+fn cfg(threads: usize) -> GraphSigConfig {
     GraphSigConfig {
         min_freq: 0.1,
         max_pvalue: 0.05,
         radius: 4,
         threads,
-        fsm_backend: backend,
         max_pattern_edges: 12,
         max_patterns_per_set: 5_000,
         ..Default::default()
@@ -60,28 +59,19 @@ fn assert_identical(a: &GraphSigResult, b: &GraphSigResult, what: &str) {
     );
 }
 
-fn check_backend(backend: FsmBackend) {
+#[test]
+fn mine_is_identical_for_any_thread_count() {
     let data = aids_like(250, 2009);
     let db = data.active_subset();
-    let baseline = GraphSig::new(cfg(1, backend)).mine(&db);
+    let baseline = GraphSig::new(cfg(1)).mine(&db);
     assert!(
         !baseline.subgraphs.is_empty(),
         "workload must actually mine something for the test to mean anything"
     );
     for threads in [2, 4, 8] {
-        let r = GraphSig::new(cfg(threads, backend)).mine(&db);
-        assert_identical(&baseline, &r, &format!("{backend:?} threads={threads}"));
+        let r = GraphSig::new(cfg(threads)).mine(&db);
+        assert_identical(&baseline, &r, &format!("threads={threads}"));
     }
-}
-
-#[test]
-fn mine_is_identical_for_any_thread_count_fsg() {
-    check_backend(FsmBackend::Fsg);
-}
-
-#[test]
-fn mine_is_identical_for_any_thread_count_gspan() {
-    check_backend(FsmBackend::GSpan);
 }
 
 /// Assert two mined pattern lists are byte-identical.
@@ -199,11 +189,7 @@ proptest! {
     ) {
         let db = aids_like(n, seed).db;
         let governed = |threads: usize| {
-            let c = GraphSigConfig {
-                threads,
-                ..cfg(threads, FsmBackend::Fsg)
-            }
-            .with_budget(Budget::unlimited().with_max_steps(max_steps));
+            let c = cfg(threads).with_budget(Budget::unlimited().with_max_steps(max_steps));
             GraphSig::new(c).mine_outcome(&db)
         };
         let baseline = governed(1);
@@ -273,14 +259,14 @@ fn packed_store_mines_byte_identical_to_text_at_any_thread_count() {
     std::fs::remove_dir_all(&dir).ok();
     assert!(opened.shards.len() > 1, "test needs a sharded store");
 
-    let baseline = GraphSig::new(cfg(1, FsmBackend::Fsg)).mine(&db_text);
+    let baseline = GraphSig::new(cfg(1)).mine(&db_text);
     let baseline_bytes = graphsig_core::render_subgraphs(&db_text, &baseline, usize::MAX);
     assert!(
         !baseline.subgraphs.is_empty(),
         "workload must actually mine something for the test to mean anything"
     );
     for threads in [1, 2, 4, 8] {
-        let r = GraphSig::new(cfg(threads, FsmBackend::Fsg)).mine(&opened.db);
+        let r = GraphSig::new(cfg(threads)).mine(&opened.db);
         assert_identical(&baseline, &r, &format!("packed threads={threads}"));
         assert_eq!(
             graphsig_core::render_subgraphs(&opened.db, &r, usize::MAX),
@@ -297,11 +283,11 @@ fn prepared_reuse_is_identical_across_thread_counts() {
     // `mine_prepared` parallelism must not change the answers either.
     let data = aids_like(250, 2009);
     let db = data.active_subset();
-    let baseline = GraphSig::new(cfg(1, FsmBackend::Fsg)).mine(&db);
+    let baseline = GraphSig::new(cfg(1)).mine(&db);
 
-    let prepared = GraphSig::new(cfg(4, FsmBackend::Fsg)).prepare(&db);
+    let prepared = GraphSig::new(cfg(4)).prepare(&db);
     for threads in [1, 2, 8] {
-        let r = GraphSig::new(cfg(threads, FsmBackend::Fsg)).mine_prepared(&db, &prepared);
+        let r = GraphSig::new(cfg(threads)).mine_prepared(&db, &prepared);
         assert_identical(
             &baseline,
             &r,
