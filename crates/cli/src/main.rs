@@ -5,7 +5,7 @@
 //!               [--radius 8] [--fsm-freq 0.8] [--threads N] [--top N]
 //!               [--timeout-ms MS] [--max-steps N]
 //! graphsig stats <transactions.txt>
-//! graphsig generate aids  <n> [--seed S]        # emit a synthetic dataset
+//! graphsig generate aids  <n> [--seed S]        # emit a synthetic dataset (n >= 20)
 //! graphsig generate screen <NAME> <scale>       # one of the Table V screens
 //! graphsig pack <file> <dir> [--shard-size N] [--append]
 //! graphsig verify <dir> [--lenient]
@@ -65,7 +65,7 @@ fn print_usage() {
          \x20 graphsig stats <file>\n\
          \x20 graphsig classify <pos.txt> <neg.txt> <query.txt> [--k K] [--min-freq F]\n\
          \x20                      [--timeout-ms MS] [--max-steps N]\n\
-         \x20 graphsig generate aids <n> [--seed S]\n\
+         \x20 graphsig generate aids <n> [--seed S]   (n >= 20)\n\
          \x20 graphsig generate screen <NAME> <scale> (names: MCF-7 MOLT-4 NCI-H23 OVCAR-8\n\
          \x20                      P388 PC-3 SF-295 SN12C SW-620 UACC-257 Yeast)\n\
          \x20 graphsig serve [--tcp ADDR] [--workers N] [--queue N] [--default-timeout-ms MS]\n\
@@ -544,6 +544,10 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let data = match positional.as_slice() {
         [kind, n] if kind == "aids" => {
             let n: usize = n.parse().map_err(|_| "bad molecule count".to_string())?;
+            let min = graphsig_datagen::MIN_DATASET_SIZE;
+            if n < min {
+                return Err(format!("molecule count must be at least {min}, got {n}"));
+            }
             graphsig_datagen::aids_like(n, seed)
         }
         [kind, name, scale] if kind == "screen" => {

@@ -122,6 +122,19 @@ fn out_of_range_settings_name_the_field() {
 }
 
 #[test]
+fn generate_rejects_counts_below_the_minimum() {
+    for n in ["0", "19"] {
+        let (out, err, ok) = run(&["generate", "aids", n]);
+        assert!(!ok, "generate aids {n} must fail");
+        assert!(
+            err.contains("20"),
+            "diagnostic must name the minimum: {err}"
+        );
+        assert!(out.is_empty(), "no molecules on stdout: {out}");
+    }
+}
+
+#[test]
 fn serve_flag_errors_are_clean() {
     let (_, err, ok) = run(&["serve", "--workers", "lots"]);
     assert!(!ok);

@@ -53,7 +53,8 @@ impl SignificantSubgraph {
 /// cost into RWR, feature-space analysis, and frequent subgraph mining.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Profile {
-    /// Sliding the window: RWR on every node (≈20% per the paper).
+    /// Sliding the window: one RWR solve per graph, giving every node's
+    /// vector (≈20% of the cost in the paper's Fig. 10).
     pub rwr: Duration,
     /// Grouping + FVMine + locating supporting nodes.
     pub feature_analysis: Duration,

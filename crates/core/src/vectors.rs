@@ -1,11 +1,14 @@
 //! The database-wide RWR pass and label grouping (Alg. 2 lines 3–6).
 //!
 //! `D <- D + RWR(g)` for every graph, then `D_a <- {v in D : label(v) = a}`.
-//! The RWR pass is embarrassingly parallel across graphs and runs through
-//! the shared dynamically-scheduled executor ([`crate::par`]) when more
-//! than one thread is configured (`threads == 0` means auto). It computes a
-//! fixed point rather than searching, so a step budget never meters it:
-//! step budgets bound FVMine and FSM only.
+//! `RWR(g)` is one solve per graph that yields every node's vector
+//! ([`graphsig_features::rwr`]). The pass is embarrassingly parallel across
+//! graphs and runs through the shared dynamically-scheduled executor
+//! ([`crate::par`]) when more than one thread is configured (`threads == 0`
+//! means auto); each graph is solved on one thread, so the output does not
+//! depend on the thread count. It computes a fixed point rather than
+//! searching, so a step budget never meters it: step budgets bound FVMine
+//! and FSM only.
 
 use graphsig_features::{
     graph_count_vectors, graph_feature_vectors, FeatureSet, NodeVector, RwrConfig,
@@ -65,8 +68,8 @@ pub fn compute_all_window_vectors(
 /// [`compute_all_window_vectors`] under a resource [`Budget`]. Only the
 /// deadline and the cancel token govern the pass, checked before each
 /// graph; a step budget does not apply, so the vectors of a step-budgeted
-/// run are the converged ones. A graph started after a stop gets zero
-/// sweeps (the point mass at each source node), so downstream phases still
+/// run are the converged ones. A graph started after a stop is not solved:
+/// each of its nodes gets an all-zero vector, so downstream phases still
 /// see one vector per node; the stop is sticky, so those phases skip every
 /// unit and never mine these vectors. The second return value is the first
 /// stop reason encountered, in graph-id order.
@@ -86,13 +89,14 @@ pub fn compute_all_window_vectors_governed(
             let g = db.graph(gid);
             let stop = control::check_start(budget);
             let vectors = match window {
-                WindowKind::Rwr if stop.is_some() => {
-                    let degenerate = RwrConfig {
-                        max_iters: 0,
-                        ..*rwr
-                    };
-                    graph_feature_vectors(g, fs, &degenerate)
-                }
+                _ if stop.is_some() => g
+                    .nodes()
+                    .map(|node| NodeVector {
+                        node,
+                        label: g.node_label(node),
+                        bins: vec![0; fs.dim()],
+                    })
+                    .collect(),
                 WindowKind::Rwr => graph_feature_vectors(g, fs, rwr),
                 WindowKind::Count { radius } => graph_count_vectors(g, radius, fs),
             };

@@ -16,6 +16,10 @@ use crate::molecule::{MoleculeConfig, MoleculeGen};
 use crate::motifs;
 use graphsig_graph::{Graph, GraphDb};
 
+/// Smallest dataset the generator emits: smaller sizes are raised to it so
+/// cross-validation folds stay non-empty.
+pub const MIN_DATASET_SIZE: usize = 20;
+
 /// Specification of one synthetic screen.
 #[derive(Debug, Clone)]
 pub struct DatasetSpec {
@@ -81,9 +85,9 @@ impl DatasetSpec {
         self
     }
 
-    /// Effective size after scaling (at least 20 so folds stay non-empty).
+    /// Effective size after scaling, at least [`MIN_DATASET_SIZE`].
     pub fn effective_size(&self) -> usize {
-        ((self.full_size as f64 * self.scale).round() as usize).max(20)
+        ((self.full_size as f64 * self.scale).round() as usize).max(MIN_DATASET_SIZE)
     }
 }
 

@@ -32,5 +32,6 @@ pub mod motifs;
 pub use alphabet::{standard_alphabet, Alphabet};
 pub use dataset::{
     aids_like, cancer_screen, cancer_screen_eroded, cancer_screen_names, Dataset, DatasetSpec,
+    MIN_DATASET_SIZE,
 };
 pub use molecule::{MoleculeConfig, MoleculeGen};

@@ -77,7 +77,7 @@ pub fn graph_count_vectors(g: &Graph, radius: usize, fs: &FeatureSet) -> Vec<Nod
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rwr::{feature_distribution, RwrConfig};
+    use crate::rwr::{graph_feature_distributions, RwrConfig};
     use crate::selection::FeatureSet;
     use graphsig_graph::parse_transactions;
 
@@ -103,7 +103,7 @@ mod tests {
         // Counting: 4 C-C edges vs 1 C-O edge → exactly 4:1.
         assert!((count[cc] / count[co] - 4.0).abs() < 1e-9);
 
-        let rwr = feature_distribution(g, 0, &fs, &RwrConfig::default());
+        let rwr = &graph_feature_distributions(g, &fs, &RwrConfig::default())[0];
         // RWR: the ratio is much larger because near edges dominate.
         assert!(rwr[cc] / rwr[co] > 6.0, "ratio {}", rwr[cc] / rwr[co]);
     }

@@ -22,7 +22,7 @@
 //!
 //! | op | keys |
 //! |---|---|
-//! | `load` | `dataset=` plus `path=` *or* `gen=aids count= [seed=]`; `[format=text\|packed]` (`packed` opens a sharded store directory leniently — damaged shards are quarantined and the dataset serves degraded); `[append=true]` extends the resident dataset instead of replacing it (as a new version, which builds its own caches) |
+//! | `load` | `dataset=` plus `path=` *or* `gen=aids count= [seed=]` (`count` at least 20); `[format=text\|packed]` (`packed` opens a sharded store directory leniently — damaged shards are quarantined and the dataset serves degraded); `[append=true]` extends the resident dataset instead of replacing it (as a new version, which builds its own caches) |
 //! | `mine` | `dataset=` `[max_pvalue=] [min_freq=] [radius=] [fsm_freq=] [threads=] [top=] [timeout_ms=] [max_steps=]` (+ fault-injection keys `sleep_ms=` / `inject=panic`, only honored when the server enables them); `threads=` is clamped to the server's core count (0 = auto) |
 //! | `freq` | `dataset=` `min_support=` `[backend=fsg\|gspan] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]`; `threads=` clamped as for `mine` |
 //! | `sweep` | `dataset=` `supports=<s1,s2,...>` `[backend=] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]` — one `freq` run per threshold, in order on one worker, over one shared index build; per-threshold payload segments are byte-identical to individual `freq` calls; `threads=` clamped as for `mine` |
@@ -169,8 +169,9 @@ pub struct LoadRequest {
 pub enum LoadSource {
     /// A gSpan-format transaction file on the server's filesystem.
     Path(String),
-    /// A synthetic AIDS-like database (`gen=aids count=N [seed=S]`) —
-    /// demos and tests without touching disk.
+    /// A synthetic AIDS-like database (`gen=aids count=N [seed=S]`, `N`
+    /// at least [`graphsig_datagen::MIN_DATASET_SIZE`]) — demos and tests
+    /// without touching disk.
     AidsLike {
         /// Number of molecules.
         count: usize,
@@ -463,8 +464,13 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
                         if format == LoadFormat::Packed {
                             return Err(err("format=packed requires a 'path' source"));
                         }
+                        let count: usize = fields.require_parse("count")?;
+                        let min = graphsig_datagen::MIN_DATASET_SIZE;
+                        if count < min {
+                            return Err(err(format!("count must be at least {min}, got {count}")));
+                        }
                         LoadSource::AidsLike {
-                            count: fields.require_parse("count")?,
+                            count,
                             seed: fields.take_parse("seed")?.unwrap_or(42),
                         }
                     }
@@ -878,6 +884,11 @@ mod tests {
             panic!();
         };
         assert_eq!(r.source, LoadSource::AidsLike { count: 50, seed: 7 });
+        // The generator's floor is an error, not a silent resize.
+        let small = parse_request("load id=2 dataset=d gen=aids count=19").unwrap_err();
+        assert!(small.message.contains("20"), "{}", small.message);
+        assert_eq!(small.id.as_deref(), Some("2"));
+        assert!(parse_request("load id=2 dataset=d gen=aids count=20").is_ok());
         assert!(parse_request("load id=3 dataset=d").is_err());
         assert!(parse_request("load id=3 dataset=d path=x gen=aids count=1").is_err());
     }

@@ -2,10 +2,13 @@
 //! the `tests/` subdirectory of this package (one file per scenario).
 //!
 //! This library holds the independent references those tests compare the
-//! production matcher and miners against. They share no code with either:
-//! plain exhaustive enumeration over [`Graph`]'s accessors, small enough to
-//! be obviously right and slow enough to be used on tiny inputs only.
+//! production matcher, miners and window pass against. They share no code
+//! with them beyond [`Graph`]'s and `FeatureSet`'s accessors: plain
+//! exhaustive enumeration, and a per-source power iteration for the random
+//! walk with restart, small enough to be obviously right and slow enough
+//! to be used on tiny inputs only.
 
+use graphsig_features::FeatureSet;
 use graphsig_graph::{Graph, GraphBuilder, GraphDb, NodeId};
 
 /// Largest pattern [`brute_contains`] accepts.
@@ -57,6 +60,72 @@ fn extend_map(target: &Graph, pattern: &Graph, map: &mut Vec<NodeId>, used: &mut
 /// equal node and edge counts is a bijection on both.
 pub fn brute_isomorphic(a: &Graph, b: &Graph) -> bool {
     a.node_count() == b.node_count() && a.edge_count() == b.edge_count() && brute_contains(b, a)
+}
+
+/// Steady-state node-visit distribution of the random walk with restart
+/// from `source`, by power iteration: `π ← α·e_source + (1 - α)·Pᵀ·π` from
+/// the point mass at the source until an iteration moves less than `1e-12`
+/// in L1 (or after 1 000 iterations). A walker on a degree-0 node restarts.
+pub fn reference_rwr_distribution(g: &Graph, source: NodeId, alpha: f64) -> Vec<f64> {
+    let n = g.node_count();
+    let mut pi = vec![0.0f64; n];
+    pi[source as usize] = 1.0;
+    let mut next = vec![0.0f64; n];
+    for _ in 0..1000 {
+        next.iter_mut().for_each(|x| *x = 0.0);
+        next[source as usize] = alpha;
+        for (i, &mass) in pi.iter().enumerate() {
+            let deg = g.degree(i as NodeId);
+            if deg == 0 {
+                next[source as usize] += (1.0 - alpha) * mass;
+                continue;
+            }
+            for a in g.neighbors(i as NodeId) {
+                next[a.to as usize] += (1.0 - alpha) * mass / deg as f64;
+            }
+        }
+        let diff: f64 = pi.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+        std::mem::swap(&mut pi, &mut next);
+        if diff < 1e-12 {
+            break;
+        }
+    }
+    pi
+}
+
+/// The window's feature distribution from `source`, per the paper's
+/// definition: each steady-state step `i → j` carries
+/// `π(i)·(1 - α)/deg(i)` to the edge-type feature of the arc if selected,
+/// else to the atom feature of `label(j)`, and the result is divided by
+/// the mass of all steps. All zero when the walker never steps.
+pub fn reference_feature_distribution(
+    g: &Graph,
+    source: NodeId,
+    fs: &FeatureSet,
+    alpha: f64,
+) -> Vec<f64> {
+    let pi = reference_rwr_distribution(g, source, alpha);
+    let mut dist = vec![0.0f64; fs.dim()];
+    let mut total = 0.0f64;
+    for (i, &mass) in pi.iter().enumerate() {
+        let deg = g.degree(i as NodeId);
+        let li = g.node_label(i as NodeId);
+        for a in g.neighbors(i as NodeId) {
+            let share = (1.0 - alpha) * mass / deg as f64;
+            let lj = g.node_label(a.to);
+            let idx = fs
+                .edge_feature(li, a.label, lj)
+                .or_else(|| fs.atom_feature(lj));
+            if let Some(idx) = idx {
+                dist[idx] += share;
+            }
+            total += share;
+        }
+    }
+    if total > 0.0 {
+        dist.iter_mut().for_each(|x| *x /= total);
+    }
+    dist
 }
 
 /// One isomorphism class found by [`brute_frequent_subgraphs`].
@@ -200,6 +269,23 @@ mod tests {
         assert!(brute_frequent_subgraphs(&db, 1, 1)
             .iter()
             .all(|c| c.graph.edge_count() == 1));
+    }
+
+    #[test]
+    fn reference_rwr_matches_the_path_closed_form() {
+        // Path 0-1-2 from node 0 at α = 1/4: π = (23, 24, 9)/56, and the
+        // two edge features split 5/8 : 3/8.
+        let mut db = GraphDb::new();
+        db.push(path(&[0, 1, 2], 0));
+        let pi = reference_rwr_distribution(db.graph(0), 0, 0.25);
+        for (p, want) in pi.iter().zip([23.0, 24.0, 9.0]) {
+            assert!((p - want / 56.0).abs() < 1e-11, "{pi:?}");
+        }
+        let fs = FeatureSet::for_chemical(&db, 3);
+        let d = reference_feature_distribution(db.graph(0), 0, &fs, 0.25);
+        let ab = d[fs.edge_feature(0, 0, 1).unwrap()];
+        let bc = d[fs.edge_feature(1, 0, 2).unwrap()];
+        assert!((ab - 0.625).abs() < 1e-11 && (bc - 0.375).abs() < 1e-11);
     }
 
     #[test]

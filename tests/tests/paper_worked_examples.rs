@@ -9,7 +9,7 @@
 //! non-zero across all four graphs. We rebuild the database and verify the
 //! same structure emerges from our RWR implementation.
 
-use graphsig_features::{feature_distribution, FeatureSet, RwrConfig};
+use graphsig_features::{graph_feature_distributions, FeatureSet, RwrConfig};
 use graphsig_graph::{GraphBuilder, GraphDb, NodeId};
 
 /// Shorthand: feature value of the edge-type (na, nb) from the 'a'-node
@@ -109,7 +109,7 @@ fn table2_common_features_point_to_the_common_subgraph() {
         .graphs()
         .iter()
         .zip(&a_nodes)
-        .map(|(g, &n)| feature_distribution(g, n, &fs, &cfg))
+        .map(|(g, &n)| graph_feature_distributions(g, &fs, &cfg).swap_remove(n as usize))
         .collect();
 
     // "Only the edge-types a-b, b-c, and b-d have non-zero values across

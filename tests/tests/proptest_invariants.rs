@@ -3,6 +3,9 @@
 
 use proptest::prelude::*;
 
+use graphsig_features::{
+    graph_feature_distributions, graph_feature_vectors, FeatureSet, RwrConfig,
+};
 use graphsig_fvmine::{ceiling_of, floor_of, is_sub_vector};
 use graphsig_graph::invariant::certificate;
 use graphsig_graph::{
@@ -10,7 +13,9 @@ use graphsig_graph::{
     MultiMatcher,
 };
 use graphsig_gspan::{is_min, is_min_unpruned, min_dfs_code, min_dfs_code_unpruned};
-use graphsig_integration::{brute_contains, brute_frequent_subgraphs, brute_isomorphic};
+use graphsig_integration::{
+    brute_contains, brute_frequent_subgraphs, brute_isomorphic, reference_feature_distribution,
+};
 use graphsig_stats::{binomial_tail_upper, Binomial};
 
 /// Strategy: a small random connected labeled graph (tree + extra edges).
@@ -375,6 +380,75 @@ proptest! {
                 prop_assert!(seen.insert(hits[0]), "class reported twice: {}", p.code);
                 prop_assert_eq!(&p.gids, &classes[hits[0]].gids);
                 prop_assert_eq!(p.support, p.gids.len());
+            }
+        }
+    }
+
+    #[test]
+    fn window_pass_matches_the_reference_power_iteration(
+        n in 1usize..=12,
+        seed in any::<u64>(),
+        edge_types in any::<u16>(),
+        atom_types in 0u16..8,
+        alpha in prop::sample::select(vec![0.25, 1.0]),
+    ) {
+        // A graph over three node and two edge labels with each node pair
+        // joined with probability 1/4: often disconnected, often with
+        // isolated nodes. The feature set keeps a random subset of the 12
+        // possible edge types and 3 atom types, so some arcs count toward
+        // no feature.
+        let mut state = seed | 1;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let mut b = GraphBuilder::new();
+        for _ in 0..n {
+            b.add_node(next(3) as u16);
+        }
+        for u in 0..n as u32 {
+            for v in u + 1..n as u32 {
+                if next(4) == 0 {
+                    b.add_edge(u, v, next(2) as u16);
+                }
+            }
+        }
+        let mut db = GraphDb::new();
+        db.push(b.build());
+        let all_edge_types =
+            (0..3u16).flat_map(|a| (a..3).flat_map(move |c| (0..2u16).map(move |e| (a, e, c))));
+        let fs = FeatureSet::from_parts(
+            all_edge_types
+                .enumerate()
+                .filter(|&(i, _)| edge_types >> i & 1 == 1)
+                .map(|(_, t)| t)
+                .collect(),
+            (0..3u16).filter(|&a| atom_types >> a & 1 == 1).collect(),
+            &db,
+        );
+        let g = db.graph(0);
+        let cfg = RwrConfig { alpha };
+        let dists = graph_feature_distributions(g, &fs, &cfg);
+        let vecs = graph_feature_vectors(g, &fs, &cfg);
+        for s in g.nodes() {
+            let want = reference_feature_distribution(g, s, &fs, alpha);
+            for (f, &v) in want.iter().enumerate() {
+                let got = dists[s as usize][f];
+                prop_assert!(
+                    (got - v).abs() < 1e-9,
+                    "node {} feature {}: {} vs {}", s, f, got, v
+                );
+                // Away from a half-step the reference's rounding is the bin.
+                let x = 10.0 * v;
+                if (x - x.floor() - 0.5).abs() >= 1e-8 {
+                    let bin = vecs[s as usize].bins[f];
+                    prop_assert!(
+                        bin == x.round() as u8,
+                        "node {} feature {}: bin {} for {}", s, f, bin, v
+                    );
+                }
             }
         }
     }
