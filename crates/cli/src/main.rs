@@ -209,11 +209,12 @@ fn cmd_mine(args: &[String]) -> Result<(), String> {
     let result = outcome.result;
     eprintln!(
         "# {} graphs, {} vectors, {} significant vectors, {} region sets \
-         ({} pruned, {} truncated), {} significant subgraphs",
+         over {} regions ({} pruned, {} truncated), {} significant subgraphs",
         db.len(),
         result.stats.vectors,
         result.stats.significant_vectors,
         result.stats.region_sets,
+        result.stats.regions,
         result.stats.pruned_sets,
         result.stats.truncated_sets,
         result.subgraphs.len()

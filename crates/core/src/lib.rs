@@ -16,12 +16,15 @@
 //!    for closed significant sub-feature vectors under the group's
 //!    empirical priors.
 //! 4. **Region extraction** (lines 9–12): for each significant vector, the
-//!    nodes it describes are located and `CutGraph(node, radius)` isolates
-//!    their neighborhoods into a set of region graphs.
+//!    nodes it describes are located, and `CutGraph(node, radius)`
+//!    isolates each neighborhood. The sets share most of their nodes, so
+//!    each distinct node is cut and compiled once into a per-mine
+//!    [`RegionArena`], and a region set is a list of its regions.
 //! 5. **Maximal FSM** (line 13): each region set is mined for maximal
 //!    frequent subgraphs at a *high* threshold (the paper's default: 80%)
-//!    using FSG — cheap because the sets are small and homogeneous. Sets without a common subgraph produce nothing, which
-//!    prunes feature-space false positives.
+//!    using FSG over the set's compiled regions — cheap because the sets
+//!    are small and homogeneous. Sets without a common subgraph produce
+//!    nothing, which prunes feature-space false positives.
 //!
 //! The result carries, per subgraph, the feature-space evidence (vector,
 //! p-value, support) and the graph-space evidence (supporting graph ids),
@@ -48,6 +51,7 @@
 pub mod config;
 pub mod par;
 pub mod pipeline;
+pub mod regions;
 pub mod report;
 pub mod vectors;
 
@@ -61,6 +65,7 @@ pub use graphsig_graph::{Budget, CancelToken, Completion, Outcome, StopReason};
 pub use config::{FsmBackend, GraphSigConfig, WindowKind};
 pub use par::{par_map, par_map_range, resolve_threads, try_par_map, try_par_map_range};
 pub use pipeline::{GraphSig, GraphSigResult, Prepared, Profile, RunStats, SignificantSubgraph};
+pub use regions::{RegionArena, RegionSet};
 pub use report::{describe, describe_run, render_subgraphs};
 pub use vectors::{
     compute_all_vectors, compute_all_window_vectors, compute_all_window_vectors_governed,

@@ -1,4 +1,10 @@
 //! The GraphSig pipeline (Algorithm 2 of the paper).
+//!
+//! Phase 1 is the window pass (one RWR solve per graph), phase 2 FVMine
+//! per label group, and phase 3 lines 10–13: the distinct nodes that the
+//! significant vectors describe are cut and compiled once into a
+//! [`RegionArena`], then FSG mines each vector's region set over the
+//! arena's compiled regions and the maximal answers are deduped.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::{Duration, Instant};
@@ -7,10 +13,11 @@ use graphsig_features::FeatureSet;
 use graphsig_fsg::{Fsg, FsgConfig};
 use graphsig_fvmine::{is_sub_vector, FvMineConfig, FvMiner, SignificantVector};
 use graphsig_graph::control::{self, Completion, Meter, Outcome, StopReason};
-use graphsig_graph::{cut_graph, Graph, GraphDb, NodeLabel};
+use graphsig_graph::{Graph, GraphDb, NodeLabel};
 use graphsig_gspan::{DfsCode, Pattern};
 
 use crate::config::GraphSigConfig;
+use crate::regions::{RegionArena, RegionSet};
 use crate::vectors::{compute_all_window_vectors_governed, group_by_label};
 
 /// One mined significant subgraph, with its feature-space and graph-space
@@ -29,7 +36,7 @@ pub struct SignificantSubgraph {
     pub vector_support: usize,
     /// Label of the group (`D_a`) the vector came from.
     pub group_label: NodeLabel,
-    /// Number of regions cut for the FSM step.
+    /// Number of regions in the vector's region set.
     pub set_size: usize,
     /// Support of the subgraph *within the region set*.
     pub fsm_support: usize,
@@ -58,7 +65,9 @@ pub struct Profile {
     pub rwr: Duration,
     /// Grouping + FVMine + locating supporting nodes.
     pub feature_analysis: Duration,
-    /// CutGraph + maximal FSM on the region sets.
+    /// CutGraph + maximal FSM: building the region arena (cutting and
+    /// compiling each distinct described node once), then FSM per region
+    /// set.
     pub fsm: Duration,
 }
 
@@ -93,6 +102,9 @@ pub struct RunStats {
     pub significant_vectors: usize,
     /// Region sets that survived to the FSM step.
     pub region_sets: usize,
+    /// Distinct regions cut for those sets: the region arena's size. Each
+    /// region is cut once however many sets name its node.
+    pub regions: usize,
     /// Region sets whose FSM step produced no pattern (feature-space false
     /// positives pruned in graph space — Sec. IV-B).
     pub pruned_sets: usize,
@@ -380,6 +392,22 @@ impl GraphSig {
             candidates: Vec<SignificantSubgraph>,
         }
         let t2 = Instant::now();
+        // Line 12 for every set at once: the sets share most of their
+        // nodes, so each distinct described node is cut and compiled once
+        // into the arena, and a set reads its regions from there.
+        let (arena, arena_stop) = RegionArena::build(
+            db,
+            work.iter()
+                .map(|(_, _, nodes)| nodes.as_slice())
+                .filter(|nodes| nodes.len() >= 2),
+            self.cfg.radius,
+            self.cfg.threads,
+            budget,
+        );
+        if truncation.is_none() {
+            truncation = arena_stop;
+        }
+        stats.regions = arena.cut_count();
         // Outer parallelism spreads the work items across cores; any cores
         // the item fan-out can't use go to the miners inside each item
         // (inner > 1 only when there are fewer items than cores). Both
@@ -409,27 +437,17 @@ impl GraphSig {
                         candidates: Vec::new(),
                     };
                 }
-                // Cut one region per described node; remember each region's
-                // source graph for global-frequency accounting.
-                let mut regions = GraphDb::from_parts(Vec::new(), db.labels().clone());
-                let mut region_sources: Vec<u32> = Vec::with_capacity(nodes.len());
-                for &(gid, node) in nodes {
-                    let (region, _) = cut_graph(db.graph(gid as usize), node, self.cfg.radius);
-                    regions.push(region);
-                    region_sources.push(gid);
-                }
-                let support = self.cfg.fsm_support(regions.len());
+                let support = self.cfg.fsm_support(nodes.len());
                 let (patterns, truncated, stop) =
-                    self.maximal_fsm(&regions, support, inner_threads);
+                    self.maximal_fsm(&arena.set(nodes), support, inner_threads);
                 let pruned = patterns.is_empty();
                 let candidates = patterns
                     .into_iter()
                     .map(|p| {
-                        let mut gids: Vec<u32> = p
-                            .gids
-                            .iter()
-                            .map(|&rid| region_sources[rid as usize])
-                            .collect();
+                        // A pattern's gids are set-local tids; map each to
+                        // its region's source graph.
+                        let mut gids: Vec<u32> =
+                            p.gids.iter().map(|&tid| nodes[tid as usize].0).collect();
                         gids.sort_unstable();
                         gids.dedup();
                         SignificantSubgraph {
@@ -453,6 +471,8 @@ impl GraphSig {
                     candidates,
                 }
             });
+        // Free the regions before the merge allocates.
+        drop(arena);
         // Deterministic merge: aggregate counters and dedup in item order,
         // keeping the most significant evidence per canonical code.
         let mut best: HashMap<DfsCode, SignificantSubgraph> = HashMap::new();
@@ -516,15 +536,15 @@ impl GraphSig {
         )
     }
 
-    /// Run FSG with `threads` workers and return `(maximal patterns, hit the
-    /// per-set pattern cap, budget stop)`.
+    /// Run FSG on one region set with `threads` workers and return
+    /// `(maximal patterns, hit the per-set pattern cap, budget stop)`.
     fn maximal_fsm(
         &self,
-        regions: &GraphDb,
+        set: &RegionSet<'_>,
         support: usize,
         threads: usize,
     ) -> (Vec<Pattern>, bool, Option<StopReason>) {
-        if regions.len() < support {
+        if set.targets.len() < support {
             return (Vec::new(), false, None);
         }
         let cap = self.cfg.max_patterns_per_set;
@@ -535,7 +555,8 @@ impl GraphSig {
         if let Some(b) = self.cfg.budget.as_ref() {
             cfg = cfg.with_budget(b.clone());
         }
-        let outcome = Fsg::new(cfg).mine_outcome(regions);
+        let level1 = set.level1.iter().map(|(key, tids)| (*key, tids.as_slice()));
+        let outcome = Fsg::new(cfg).mine_compiled_outcome(level1, &set.targets);
         let all = outcome.result;
         let truncated = all.len() >= cap;
         // The per-set pattern cap is already surfaced through `truncated`
@@ -632,6 +653,19 @@ mod tests {
         assert!((a + b + c - 100.0).abs() < 1e-6);
         assert!(result.stats.vectors > 0);
         assert!(result.stats.groups > 0);
+    }
+
+    #[test]
+    fn the_region_arena_cuts_each_described_node_once() {
+        let data = aids_like(120, 44);
+        let stats = GraphSig::new(test_cfg()).mine(&data.db).stats;
+        assert!(stats.region_sets > 0);
+        // Every region is around a distinct node, and every node has one
+        // vector.
+        assert!(
+            0 < stats.regions && stats.regions <= stats.vectors,
+            "{stats:?}"
+        );
     }
 
     #[test]

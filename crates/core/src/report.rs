@@ -65,6 +65,7 @@ pub fn describe_run(result: &GraphSigResult, completion: Completion) -> String {
         groups,
         significant_vectors,
         region_sets,
+        regions,
         pruned_sets,
         truncated_sets,
         match_steps,
@@ -73,13 +74,14 @@ pub fn describe_run(result: &GraphSigResult, completion: Completion) -> String {
     } = result.stats;
     let mut line = format!(
         "{} subgraphs ({}); {} vectors in {} groups -> {} significant, \
-         {} region sets ({} pruned, {} truncated)",
+         {} region sets over {} regions ({} pruned, {} truncated)",
         result.subgraphs.len(),
         completion,
         vectors,
         groups,
         significant_vectors,
         region_sets,
+        regions,
         pruned_sets,
         truncated_sets,
     );

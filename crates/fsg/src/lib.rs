@@ -5,8 +5,8 @@
 //! subgraphs (`GraphSig+FSG`). Where gSpan grows patterns depth-first along
 //! canonical DFS codes, FSG is *level-wise and breadth-first*:
 //!
-//! 1. level 1 = frequent single edges, read straight from a
-//!    [`LabelPairIndex`] (canonical key order, sorted TID lists);
+//! 1. level 1 = frequent single edges, read straight from the caller's
+//!    level-1 entries (canonical key order, sorted TID lists);
 //! 2. level k+1 candidates are generated by extending every frequent
 //!    k-edge pattern with one edge (a new pendant vertex, or a cycle-closing
 //!    edge between existing vertices), TID-prefiltered (an extension whose
@@ -22,6 +22,14 @@
 //!    with one reusable [`MultiMatcher`] per candidate and an early exit
 //!    once the remaining transactions cannot reach `min_support`; only the
 //!    frequent ones are canonicalized, and they are emitted in code order.
+//!
+//! There is one core path, [`Fsg::mine_compiled_outcome`]: it mines from
+//! level-1 entries and a slice of precompiled targets ([`CompiledGraph`],
+//! indexed by TID). [`Fsg::mine_indexed_outcome`] passes a
+//! [`LabelPairIndex`]'s entries and its cached compiled database (the
+//! baselines and the server's `freq` op); GraphSig's pipeline passes a
+//! region set's entries and compiled regions from its per-mine region
+//! arena, so a region shared by many sets is compiled once.
 //!
 //! With `threads > 1` the expensive stages run on the shared deterministic
 //! executor ([`graphsig_graph::par`]): extension generation and
@@ -59,8 +67,8 @@ use std::collections::{HashMap, HashSet};
 use graphsig_graph::control::{self, Budget, Completion, Meter, Outcome, StopReason};
 use graphsig_graph::invariant::refine_metered;
 use graphsig_graph::{
-    are_isomorphic, certificate, par_map, resolve_threads, CompiledDb, Graph, GraphBuilder,
-    GraphDb, LabelPairIndex, MatchOutcome, MatcherKind, MultiMatcher,
+    are_isomorphic, certificate, par_map, resolve_threads, CompiledGraph, Graph, GraphBuilder,
+    GraphDb, LabelPairIndex, LabelTriple, MatchOutcome, MatcherKind, MultiMatcher,
 };
 use graphsig_gspan::{min_dfs_code, DfsCode, Pattern};
 
@@ -158,10 +166,10 @@ struct CertCandidate {
     tids: Vec<u32>,
 }
 
-/// The per-level context: the compiled match targets and the
-/// frequent-edge universe candidates are generated against.
+/// The per-level context: the compiled match targets (indexed by tid) and
+/// the frequent-edge universe candidates are generated against.
 struct LevelCtx<'a> {
-    compiled: &'a CompiledDb,
+    targets: &'a [&'a CompiledGraph],
     threads: usize,
     f1_tids: HashMap<(u16, u16, u16), Vec<u32>>,
     edge_labels: Vec<u16>,
@@ -207,12 +215,28 @@ impl Fsg {
         db: &GraphDb,
         index: &LabelPairIndex,
     ) -> Outcome<Vec<Pattern>> {
+        // The compilation is cached on the index, so repeated runs and
+        // threshold sweeps over the same index all share it.
+        let compiled = index.compiled_db(db);
+        let targets: Vec<&CompiledGraph> = (0..compiled.len()).map(|g| compiled.graph(g)).collect();
+        let level1 = index.entries().iter().map(|e| (e.key, e.tids.as_slice()));
+        self.mine_compiled_outcome(level1, &targets)
+    }
+
+    /// The one mining path, over precompiled targets: transaction `t` is
+    /// `targets[t]`, and `level1` lists every edge type of those targets
+    /// with its ascending tid list, ascending by canonical key — what a
+    /// [`LabelPairIndex`] of the targets' source graphs holds. Edge types
+    /// below `min_support` are skipped here. GraphSig's pipeline calls this
+    /// with region sets of its per-mine region arena, so each region is
+    /// compiled once however many sets it belongs to.
+    pub fn mine_compiled_outcome<'t>(
+        &self,
+        level1: impl IntoIterator<Item = (LabelTriple, &'t [u32])>,
+        targets: &[&CompiledGraph],
+    ) -> Outcome<Vec<Pattern>> {
         let threads = resolve_threads(self.cfg.threads);
         let budget = self.cfg.budget.as_ref();
-        // Support is counted against compiled bitset targets; the
-        // compilation is cached on the index, so FSG levels, repeated
-        // runs, and threshold sweeps over the same index all share it.
-        let compiled = index.compiled_db(db);
         let mut out: Vec<Pattern> = Vec::new();
         // First budget truncation observed, in deterministic level /
         // stage / unit order.
@@ -221,7 +245,7 @@ impl Fsg {
             return Outcome::truncated(out, reason);
         }
 
-        // ---- Level 1: frequent single edges, straight from the index ------
+        // ---- Level 1: frequent single edges, straight from `level1` -------
         // Entries arrive ascending by canonical key with sorted TID lists —
         // the exact order and content a fresh database scan would produce.
         let mut frontier: Vec<Candidate> = Vec::new();
@@ -229,9 +253,12 @@ impl Fsg {
         // Main-thread meter for level-1 diagnostics (canonicalization
         // counts); notes never consume budget.
         let mut l1_meter = Meter::new(budget);
-        for entry in index.frequent(self.cfg.min_support) {
-            let (la, le, lb) = entry.key;
-            f1_tids.insert(entry.key, entry.tids.clone());
+        for (key, tids) in level1 {
+            if tids.len() < self.cfg.min_support {
+                continue;
+            }
+            let (la, le, lb) = key;
+            f1_tids.insert(key, tids.to_vec());
             let mut b = GraphBuilder::new();
             let u = b.add_node(la);
             let v = b.add_node(lb);
@@ -242,12 +269,12 @@ impl Fsg {
             out.push(Pattern {
                 code,
                 graph: graph.clone(),
-                support: entry.support(),
-                gids: entry.tids.clone(),
+                support: tids.len(),
+                gids: tids.to_vec(),
             });
             frontier.push(Candidate {
                 graph,
-                tids: entry.tids.clone(),
+                tids: tids.to_vec(),
             });
             if self.reached_cap(&out) {
                 return Outcome::truncated(out, StopReason::PatternCap);
@@ -269,7 +296,7 @@ impl Fsg {
 
         // ---- Levels 2..: generate, dedup, prune, count ------------------
         let ctx = LevelCtx {
-            compiled: &compiled,
+            targets,
             threads,
             f1_tids,
             edge_labels: edge_label_universe,
@@ -403,7 +430,7 @@ impl Fsg {
                         return (None, meter.stop_reason());
                     }
                     let gids = count_support(
-                        ctx.compiled,
+                        ctx.targets,
                         &cand.graph,
                         &cand.tids,
                         min_support,
@@ -496,7 +523,7 @@ impl Fsg {
 /// Count `pattern`'s support over the candidate transactions `tids`, using
 /// one reusable matcher per candidate (the match plan is built once, and
 /// the scratch buffers are shared across transactions) against the
-/// database's cached compiled targets. Returns the gids containing the
+/// precompiled targets, read by tid. Returns the gids containing the
 /// pattern, or `None` as soon as the matches found so far plus *all* remaining
 /// unchecked transactions cannot reach `min_support` — the remaining-count
 /// cutoff skips the unreachable tail entirely.
@@ -507,7 +534,7 @@ impl Fsg {
 /// is conservatively reported unsupported and the meter records the
 /// truncation.
 fn count_support(
-    compiled: &CompiledDb,
+    targets: &[&CompiledGraph],
     pattern: &Graph,
     tids: &[u32],
     min_support: usize,
@@ -519,8 +546,8 @@ fn count_support(
         if gids.len() + (tids.len() - i) < min_support {
             return None;
         }
-        let (outcome, used) = matcher
-            .exists_in_counted_compiled(compiled.graph(gid as usize), meter.remaining_steps());
+        let (outcome, used) =
+            matcher.exists_in_counted_compiled(targets[gid as usize], meter.remaining_steps());
         let alive = meter.consume_match(used);
         match outcome {
             MatchOutcome::Matched => gids.push(gid),
@@ -733,6 +760,11 @@ mod tests {
         .unwrap()
     }
 
+    /// Every graph of `db`, compiled, in gid order.
+    fn compile_all(db: &GraphDb) -> Vec<CompiledGraph> {
+        db.graphs().iter().map(CompiledGraph::compile).collect()
+    }
+
     /// A single-edge pattern graph `la -le- lb` using interned label ids.
     fn edge_pattern(db: &GraphDb, la: &str, le: &str, lb: &str) -> Graph {
         let mut b = GraphBuilder::new();
@@ -888,49 +920,49 @@ mod tests {
     #[test]
     fn count_support_counts_and_thresholds() {
         let db = tiny_db();
-        let compiled = CompiledDb::build(&db);
+        let compiled = compile_all(&db);
+        let targets: Vec<&CompiledGraph> = compiled.iter().collect();
         let all: Vec<u32> = (0..db.graphs().len() as u32).collect();
         let cc = edge_pattern(&db, "C", "s", "C");
         let mut m = Meter::unbudgeted();
         assert_eq!(
-            count_support(&compiled, &cc, &all, 1, &mut m),
+            count_support(&targets, &cc, &all, 1, &mut m),
             Some(vec![0, 1])
         );
         assert_eq!(
-            count_support(&compiled, &cc, &all, 2, &mut m),
+            count_support(&targets, &cc, &all, 2, &mut m),
             Some(vec![0, 1])
         );
         // Support 2 < 3: below threshold.
-        assert_eq!(count_support(&compiled, &cc, &all, 3, &mut m), None);
+        assert_eq!(count_support(&targets, &cc, &all, 3, &mut m), None);
         let cn = edge_pattern(&db, "C", "s", "N");
-        assert_eq!(
-            count_support(&compiled, &cn, &all, 1, &mut m),
-            Some(vec![2])
-        );
+        assert_eq!(count_support(&targets, &cn, &all, 1, &mut m), Some(vec![2]));
     }
 
     #[test]
     fn count_support_early_exit_skips_unreachable_tail() {
         let db = tiny_db();
-        let compiled = CompiledDb::build(&db);
+        let compiled = compile_all(&db);
+        let targets: Vec<&CompiledGraph> = compiled.iter().collect();
         // C-N occurs only in graph 2. With min_support 2 over TIDs
         // [0, 1, 999]: after misses on 0 and 1 at most one transaction is
         // left, so the cutoff must return before dereferencing the bogus
         // trailing id 999 (which would panic if checked).
         let cn = edge_pattern(&db, "C", "s", "N");
         let mut m = Meter::unbudgeted();
-        assert_eq!(count_support(&compiled, &cn, &[0, 1, 999], 2, &mut m), None);
+        assert_eq!(count_support(&targets, &cn, &[0, 1, 999], 2, &mut m), None);
     }
 
     #[test]
     fn count_support_under_exhausted_meter_is_conservative() {
         let db = tiny_db();
-        let compiled = CompiledDb::build(&db);
+        let compiled = compile_all(&db);
+        let targets: Vec<&CompiledGraph> = compiled.iter().collect();
         let all: Vec<u32> = (0..db.graphs().len() as u32).collect();
         let cc = edge_pattern(&db, "C", "s", "C");
         let budget = Budget::unlimited().with_max_steps(0);
         let mut m = budget.meter();
-        assert_eq!(count_support(&compiled, &cc, &all, 1, &mut m), None);
+        assert_eq!(count_support(&targets, &cc, &all, 1, &mut m), None);
         assert_eq!(m.stop_reason(), Some(StopReason::StepBudget));
     }
 

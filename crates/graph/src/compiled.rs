@@ -17,6 +17,8 @@
 //! repeated support counts (FSG levels, threshold sweeps, warm server
 //! requests) never re-derive it — see
 //! [`LabelPairIndex::compiled_db`](crate::index::LabelPairIndex::compiled_db).
+//! GraphSig's pipeline compiles its cut regions the same way, one
+//! [`CompiledGraph`] per distinct region of a mine.
 
 use crate::database::GraphDb;
 use crate::graph::{Graph, NodeId};

@@ -49,6 +49,7 @@ fn assert_identical(a: &GraphSigResult, b: &GraphSigResult, what: &str) {
         a.stats.region_sets, b.stats.region_sets,
         "{what}: stats.region_sets"
     );
+    assert_eq!(a.stats.regions, b.stats.regions, "{what}: stats.regions");
     assert_eq!(
         a.stats.pruned_sets, b.stats.pruned_sets,
         "{what}: stats.pruned_sets"

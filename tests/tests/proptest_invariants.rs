@@ -454,6 +454,88 @@ proptest! {
     }
 
     #[test]
+    fn region_arena_mines_what_the_cut_regions_mine(
+        seed in any::<u64>(),
+        radius in 1usize..=3,
+        picks in prop::collection::vec(prop::collection::vec(0usize..8, 2..6), 1..5),
+        max_steps in 0u64..400,
+    ) {
+        use graphsig_core::RegionArena;
+        use graphsig_fsg::{Fsg, FsgConfig};
+        use graphsig_graph::{cut_graph, Budget};
+        // Region sets drawn from a pool of eight described nodes, so sets
+        // share nodes as the pipeline's do. FSG over the arena's targets
+        // must match FSG over a database of the same cuts: the same
+        // patterns, completion and step counters, with or without a step
+        // budget.
+        let db = tiny_db(seed);
+        let all: Vec<(u32, u32)> = db
+            .graphs()
+            .iter()
+            .enumerate()
+            .flat_map(|(gid, g)| g.nodes().map(move |n| (gid as u32, n)))
+            .collect();
+        let mut state = seed | 1;
+        let pool: Vec<(u32, u32)> = (0..8)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                all[(state >> 33) as usize % all.len()]
+            })
+            .collect();
+        let sets: Vec<Vec<(u32, u32)>> = picks
+            .iter()
+            .map(|p| {
+                let mut nodes: Vec<(u32, u32)> = Vec::new();
+                for &i in p {
+                    if !nodes.contains(&pool[i]) {
+                        nodes.push(pool[i]);
+                    }
+                }
+                nodes
+            })
+            .filter(|nodes| nodes.len() >= 2)
+            .collect();
+        let (arena, stop) = RegionArena::build(&db, sets.iter().map(Vec::as_slice), radius, 2, None);
+        prop_assert_eq!(stop, None);
+        for nodes in &sets {
+            let mut regions = GraphDb::from_parts(Vec::new(), db.labels().clone());
+            for &(gid, node) in nodes {
+                regions.push(cut_graph(db.graph(gid as usize), node, radius).0);
+            }
+            let set = arena.set(nodes);
+            for support in [1, nodes.len()] {
+                for limit in [None, Some(max_steps)] {
+                    // A fresh budget per run: clones share the counters.
+                    let budget = || match limit {
+                        Some(k) => Budget::unlimited().with_max_steps(k),
+                        None => Budget::unlimited(),
+                    };
+                    let fsg = |b: &Budget| {
+                        Fsg::new(FsgConfig::new(support).with_max_edges(5).with_budget(b.clone()))
+                    };
+                    let (b_arena, b_cut) = (budget(), budget());
+                    let level1 = set.level1.iter().map(|(k, t)| (*k, t.as_slice()));
+                    let got = fsg(&b_arena).mine_compiled_outcome(level1, &set.targets);
+                    let want = fsg(&b_cut).mine_outcome(&regions);
+                    prop_assert_eq!(got.completion, want.completion);
+                    prop_assert_eq!(got.result.len(), want.result.len());
+                    for (a, b) in got.result.iter().zip(&want.result) {
+                        prop_assert_eq!(&a.code, &b.code);
+                        prop_assert_eq!(a.support, b.support);
+                        prop_assert_eq!(&a.gids, &b.gids);
+                    }
+                    prop_assert_eq!(b_arena.match_steps_spent(), b_cut.match_steps_spent());
+                    prop_assert_eq!(b_arena.steps_spent(), b_cut.steps_spent());
+                    prop_assert_eq!(b_arena.canon_calls(), b_cut.canon_calls());
+                    prop_assert_eq!(b_arena.cert_hits(), b_cut.cert_hits());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn gspan_patterns_containment_verified(seed in any::<u64>()) {
         use graphsig_gspan::{GSpan, MinerConfig};
         let db = tiny_db(seed);
