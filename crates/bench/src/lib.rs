@@ -12,14 +12,8 @@
 //! * `--scale <f64>`     — dataset size multiplier (experiment-specific default)
 //! * `--seed <u64>`      — RNG seed (default 42)
 //! * `--threads <usize>` — worker threads for GraphSig runs (default 0 = auto)
-//! * `--smoke`           — tiny-dataset CI mode: verify invariants (e.g.
-//!   sequential == parallel), skip writing result files
-//! * `--timeout-ms <u64>` / `--max-steps <u64>` — budget-govern the runs;
-//!   see [`Cli::budget`]
 
 use std::time::{Duration, Instant};
-
-use graphsig_graph::Budget;
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, Copy)]
@@ -30,26 +24,16 @@ pub struct Cli {
     pub seed: u64,
     /// Worker threads for GraphSig runs (`0` = auto, one per core).
     pub threads: usize,
-    /// CI smoke mode: tiny dataset, assertions only, no files written.
-    pub smoke: bool,
-    /// Wall-clock deadline for governed runs (`--timeout-ms`).
-    pub timeout_ms: Option<u64>,
-    /// Per-work-unit step allowance for governed runs (`--max-steps`).
-    pub max_steps: Option<u64>,
 }
 
 impl Cli {
-    /// Parse `--scale` / `--seed` / `--threads` / `--smoke` /
-    /// `--timeout-ms` / `--max-steps` from `std::env::args`, with the
-    /// given default scale.
+    /// Parse `--scale` / `--seed` / `--threads` from `std::env::args`,
+    /// with the given default scale.
     pub fn parse(default_scale: f64) -> Self {
         let mut cli = Self {
             scale: default_scale,
             seed: 42,
             threads: 0,
-            smoke: false,
-            timeout_ms: None,
-            max_steps: None,
         };
         let args: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -76,46 +60,10 @@ impl Cli {
                         .unwrap_or_else(|| panic!("--threads needs an integer (0 = auto)"));
                     i += 2;
                 }
-                "--smoke" => {
-                    cli.smoke = true;
-                    i += 1;
-                }
-                "--timeout-ms" => {
-                    cli.timeout_ms = Some(
-                        args.get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| panic!("--timeout-ms needs an integer")),
-                    );
-                    i += 2;
-                }
-                "--max-steps" => {
-                    cli.max_steps = Some(
-                        args.get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| panic!("--max-steps needs an integer")),
-                    );
-                    i += 2;
-                }
                 other => panic!("unknown argument {other}"),
             }
         }
         cli
-    }
-
-    /// The run [`Budget`] assembled from `--timeout-ms` / `--max-steps`,
-    /// or `None` when neither flag was given (ungoverned run).
-    pub fn budget(&self) -> Option<Budget> {
-        if self.timeout_ms.is_none() && self.max_steps.is_none() {
-            return None;
-        }
-        let mut budget = Budget::unlimited();
-        if let Some(ms) = self.timeout_ms {
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        }
-        if let Some(n) = self.max_steps {
-            budget = budget.with_max_steps(n);
-        }
-        Some(budget)
     }
 }
 
@@ -143,27 +91,6 @@ pub fn header(cols: &[&str]) {
 /// Print one row.
 pub fn row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
-}
-
-/// Stable fingerprint of a mined pattern list: every code, support and gid
-/// list, in order. Byte-identical across runs iff the output is.
-pub fn fingerprint(pats: &[graphsig_gspan::Pattern]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    for p in pats {
-        let _ = writeln!(s, "{:?} sup={} gids={:?}", p.code, p.support, p.gids);
-    }
-    s
-}
-
-/// [`fingerprint`] of the pattern *set*: lines sorted, so two miners that
-/// emit the same patterns in different orders (FSG level by level, gSpan
-/// depth first) compare equal.
-pub fn set_fingerprint(pats: &[graphsig_gspan::Pattern]) -> String {
-    let s = fingerprint(pats);
-    let mut lines: Vec<&str> = s.lines().collect();
-    lines.sort_unstable();
-    lines.join("\n")
 }
 
 #[cfg(test)]

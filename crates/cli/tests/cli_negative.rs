@@ -149,46 +149,64 @@ fn serve_flag_errors_are_clean() {
 
 #[test]
 fn verify_on_corrupted_store_exits_nonzero_naming_the_shard() {
-    // Pack a two-shard store, flip one byte in the second shard, and
-    // check the process-level contract: nonzero exit, culprit named.
-    let input = temp_file(
-        "pack-input.txt",
-        "t # 0\nv 0 C\nv 1 N\ne 0 1 s\nt # 1\nv 0 O\n",
-    );
-    let dir = std::env::temp_dir().join(format!("graphsig-neg-store-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let dir_s = dir.to_str().expect("utf-8 path").to_string();
-    let (_, err, ok) = run(&[
-        "pack",
-        input.to_str().expect("utf-8 path"),
-        &dir_s,
-        "--shard-size",
-        "1",
-    ]);
-    std::fs::remove_file(&input).ok();
-    assert!(ok, "pack of a clean input must succeed: {err}");
+    // Pack a store, check that a clean `verify` passes, flip one byte in
+    // the second shard, and check the process-level contract: nonzero
+    // exit, culprit named. Two stores: two one-graph shards, and a
+    // generated 200-molecule database in shards of 64.
+    let (generated, err, ok) = run(&["generate", "aids", "200", "--seed", "7"]);
+    assert!(ok, "generate must succeed: {err}");
+    for (tag, text, shard_size, shards) in [
+        (
+            "tiny",
+            "t # 0\nv 0 C\nv 1 N\ne 0 1 s\nt # 1\nv 0 O\n",
+            "1",
+            2,
+        ),
+        ("aids200", generated.as_str(), "64", 4),
+    ] {
+        let input = temp_file(&format!("pack-input-{tag}.txt"), text);
+        let dir =
+            std::env::temp_dir().join(format!("graphsig-neg-store-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let dir_s = dir.to_str().expect("utf-8 path").to_string();
+        let (_, err, ok) = run(&[
+            "pack",
+            input.to_str().expect("utf-8 path"),
+            &dir_s,
+            "--shard-size",
+            shard_size,
+        ]);
+        std::fs::remove_file(&input).ok();
+        assert!(ok, "{tag}: pack of a clean input must succeed: {err}");
+        let (_, err, ok) = run(&["verify", &dir_s]);
+        assert!(ok, "{tag}: verify of a clean store must succeed: {err}");
 
-    let shard = dir.join("shard-00001.gss");
-    let mut bytes = std::fs::read(&shard).expect("read packed shard");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x01;
-    std::fs::write(&shard, &bytes).expect("corrupt packed shard");
+        let shard = dir.join("shard-00001.gss");
+        let mut bytes = std::fs::read(&shard).expect("read packed shard");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&shard, &bytes).expect("corrupt packed shard");
 
-    let (_, err, ok) = run(&["verify", &dir_s]);
-    assert!(!ok, "verify must fail on a corrupted store");
-    assert!(err.contains("shard-00001.gss"), "culprit unnamed: {err}");
-    assert!(
-        !err.contains("panicked"),
-        "corruption must never panic: {err}"
-    );
+        let (_, err, ok) = run(&["verify", &dir_s]);
+        assert!(!ok, "{tag}: verify must fail on a corrupted store");
+        assert!(
+            err.contains("shard-00001.gss"),
+            "{tag}: culprit unnamed: {err}"
+        );
+        assert!(
+            !err.contains("panicked"),
+            "{tag}: corruption must never panic: {err}"
+        );
 
-    // The lenient open quarantines the damaged shard and still exits 0,
-    // reporting degraded service over the survivor.
-    let (out, err, ok) = run(&["verify", &dir_s, "--lenient"]);
-    assert!(ok, "lenient verify serves survivors: {err}");
-    assert!(out.contains("shards serving:  1/2"), "{out}");
-    assert!(err.contains("DEGRADED"), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
+        // The lenient open quarantines the damaged shard and still exits
+        // 0, reporting degraded service over the survivors.
+        let (out, err, ok) = run(&["verify", &dir_s, "--lenient"]);
+        assert!(ok, "{tag}: lenient verify serves survivors: {err}");
+        let serving = format!("shards serving:  {}/{shards}", shards - 1);
+        assert!(out.contains(&serving), "{tag}: {out}");
+        assert!(err.contains("DEGRADED"), "{tag}: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

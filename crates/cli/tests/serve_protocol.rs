@@ -39,7 +39,9 @@ fn serve_script(extra_args: &[&str], script: &str) -> Vec<(ResponseHeader, Vec<u
         .expect("read responses");
     let status = child.wait().expect("child exits");
     assert!(status.success(), "serve must exit 0 on clean EOF");
-    parse_response_stream(&stdout).expect("well-framed response stream")
+    let (responses, tail) = parse_response_stream(&stdout).expect("well-framed response stream");
+    assert_eq!(tail, 0, "every response is whole");
+    responses
 }
 
 fn response<'a>(
@@ -461,7 +463,7 @@ impl Client {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            if let Ok(responses) = parse_response_stream(&self.buf) {
+            if let Ok((responses, _)) = parse_response_stream(&self.buf) {
                 if ids
                     .iter()
                     .all(|id| responses.iter().any(|(h, _)| &h.id == id))
@@ -811,12 +813,13 @@ fn client_dropped_at_write_buffer_cap_never_sees_a_lying_frame() {
     );
     assert!(eof, "slow client must be dropped by backpressure");
     let (complete, truncated_tail) =
-        graphsig_server::chaos::parse_prefix(&buf).expect("no lying complete frame in prefix");
+        parse_response_stream(&buf).expect("no lying complete frame in prefix");
     // The drop happens mid-stream: we observed *some* bytes and not all
     // 400 responses.
     assert!(
-        complete < 400,
-        "cap did not engage: all {complete} responses delivered (tail {truncated_tail})"
+        complete.len() < 400,
+        "cap did not engage: all {} responses delivered (tail {truncated_tail})",
+        complete.len()
     );
 
     setup.send("shutdown id=bye\n");
@@ -855,8 +858,13 @@ fn request_log_reports_each_request_with_its_role_and_timings() {
         .expect("write request script");
     let output = child.wait_with_output().expect("child exits");
     assert!(output.status.success(), "serve must exit 0 on clean EOF");
-    let responses = parse_response_stream(&output.stdout).expect("well-framed response stream");
-    assert_eq!(responses.len(), 7, "one response per request");
+    let (responses, tail) =
+        parse_response_stream(&output.stdout).expect("well-framed response stream");
+    assert_eq!(
+        (responses.len(), tail),
+        (7, 0),
+        "one whole response per request"
+    );
 
     let stderr = String::from_utf8_lossy(&output.stderr);
     let lines: Vec<&str> = stderr

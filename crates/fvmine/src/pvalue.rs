@@ -4,9 +4,10 @@
 //! success, probability `P(x)` from the priors); a database of `m` vectors
 //! gives `Bin(m, P(x))` as the null distribution of `x`'s support (Eqn. 5).
 //! The p-value of observed support `mu_0` is the upper tail (Eqn. 6),
-//! evaluated by `graphsig-stats` via exact summation, the regularized
-//! incomplete beta reduction, or — "when both mP(x) and m(1-P(x)) are
-//! large" — the normal approximation.
+//! evaluated by `graphsig-stats` through the regularized incomplete beta
+//! reduction for every `m`. The paper's normal approximation "when both
+//! mP(x) and m(1-P(x)) are large" is not used: it is close in absolute
+//! terms only, and output is sorted by p-value.
 
 use crate::priors::Priors;
 use graphsig_stats::binomial_tail_upper;

@@ -291,8 +291,8 @@ pub fn min_dfs_code(g: &Graph) -> DfsCode {
 }
 
 /// [`min_dfs_code`] with automorphism-orbit embedding pruning disabled —
-/// the straight-line reference the proptests and `bench_canon` compare the
-/// pruned production path against. Byte-identical output by construction.
+/// the straight-line reference the proptests compare the pruned
+/// production path against. Byte-identical output by construction.
 pub fn min_dfs_code_unpruned(g: &Graph) -> DfsCode {
     assert!(g.is_connected(), "min_dfs_code requires a connected graph");
     build_min(g, None, false).expect("building without a check cannot fail")

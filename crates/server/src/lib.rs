@@ -27,12 +27,12 @@
 //!   (`poll(2)`) multiplexes every connection, so idle connections cost a
 //!   file descriptor and a buffer, not a thread, and slow consumers are
 //!   bounded by per-connection write buffers instead of blocking workers.
-//! * [`chaos`] — the seeded soak behind `bench_chaos`: randomized
-//!   schedules driving the store fault plane, mid-ingest kills, the memory
-//!   admission governor, and connection lifecycle deadlines. With the
-//!   crate's integration tests it is the server's only self-test.
+//!
+//! The server's self-test is its integration tests: `server_tests` for
+//! fixed request sequences, and `chaos_soak` for seeded schedules that
+//! drive the store fault plane, mid-ingest kills, the memory admission
+//! governor and connection lifecycle deadlines.
 
-pub mod chaos;
 pub(crate) mod flight;
 pub mod protocol;
 pub(crate) mod registry;

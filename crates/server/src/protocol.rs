@@ -698,8 +698,8 @@ impl Response {
     }
 }
 
-/// A response header parsed back from the wire (the client half; used by
-/// the smoke harness and the integration tests).
+/// A response header parsed back from the wire (the client half, used by
+/// the tests and the benchmark's client).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResponseHeader {
     /// Echoed request id.
@@ -749,30 +749,33 @@ pub fn parse_response_header(line: &str) -> Result<ResponseHeader, ProtocolError
     })
 }
 
-/// Split a captured byte stream into framed `(header, payload)` responses.
-/// Total: truncated or malformed streams yield `Err`. (Whole responses are
-/// written atomically by the server, so a captured stream is always a
-/// clean concatenation of frames.)
-pub fn parse_response_stream(buf: &[u8]) -> Result<Vec<(ResponseHeader, Vec<u8>)>, ProtocolError> {
-    let mut out = Vec::new();
+/// One framed response: its header and exactly `header.bytes` of payload.
+pub type Frame = (ResponseHeader, Vec<u8>);
+
+/// Split a received byte stream into its complete `(header, payload)`
+/// frames and the length of the tail after them: a header line with no
+/// newline yet, or a header whose payload has not fully arrived. A frame
+/// is complete only when all of its `bytes=` payload is present, so a
+/// client dropped mid-response can never mistake a cut frame for a whole
+/// one. Total: a complete header line that does not parse is `Err`.
+pub fn parse_response_stream(buf: &[u8]) -> Result<(Vec<Frame>, usize), ProtocolError> {
+    let mut frames = Vec::new();
     let mut rest = buf;
-    while !rest.is_empty() {
-        let nl = rest
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| err("truncated response header"))?;
+    while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
         let line =
             std::str::from_utf8(&rest[..nl]).map_err(|_| err("response header is not UTF-8"))?;
         let header = parse_response_header(line)?;
         let body_start = nl + 1;
-        let body_end = body_start
+        let Some(body_end) = body_start
             .checked_add(header.bytes)
             .filter(|&e| e <= rest.len())
-            .ok_or_else(|| err("truncated response payload"))?;
-        out.push((header, rest[body_start..body_end].to_vec()));
+        else {
+            break;
+        };
+        frames.push((header, rest[body_start..body_end].to_vec()));
         rest = &rest[body_end..];
     }
-    Ok(out)
+    Ok((frames, rest.len()))
 }
 
 #[cfg(test)]
@@ -986,5 +989,23 @@ mod tests {
         let h = parse_response_header(e.render().lines().next().unwrap()).unwrap();
         assert_eq!(h.status, Status::Error);
         assert_eq!(h.field("error"), Some("unknown dataset 'x'"));
+    }
+
+    #[test]
+    fn response_stream_splits_complete_frames_from_a_truncated_tail() {
+        let full = b"resp id=1 op=ping status=ok bytes=0\n";
+        let (frames, tail) = parse_response_stream(full).unwrap();
+        assert_eq!((frames.len(), tail), (1, 0));
+        // The header promises 10 bytes and only 5 arrived: tail, not a frame.
+        let mut buf = full.to_vec();
+        buf.extend_from_slice(b"resp id=2 op=mine status=ok bytes=10\n12345");
+        let (frames, tail) = parse_response_stream(&buf).unwrap();
+        assert_eq!(frames.len(), 1);
+        assert_eq!(tail, buf.len() - full.len());
+        // A torn header line is tail too.
+        let (frames, tail) = parse_response_stream(b"resp id=3 op=pi").unwrap();
+        assert_eq!((frames.len(), tail), (0, 15));
+        // A complete header line that does not parse is an error.
+        assert!(parse_response_stream(b"resp id=4 op=ping status=maybe bytes=0\n").is_err());
     }
 }

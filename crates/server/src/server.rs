@@ -104,7 +104,7 @@ pub struct ServerConfig {
     /// Emit one structured log line per completed request on stderr.
     pub log: bool,
     /// The store I/O seam every packed load goes through. Defaults to
-    /// real I/O; the chaos harness swaps in a seeded fault plan.
+    /// real I/O; the chaos soak test swaps in a seeded fault plan.
     pub io: graphsig_store::Io,
 }
 

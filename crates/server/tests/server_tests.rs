@@ -30,7 +30,7 @@ fn wait_all(sink: &Sink, ids: &[String]) -> Vec<(graphsig_server::ResponseHeader
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let buf = sink.0.lock().unwrap().clone();
-        if let Ok(responses) = parse_response_stream(&buf) {
+        if let Ok((responses, _)) = parse_response_stream(&buf) {
             if ids
                 .iter()
                 .all(|id| responses.iter().any(|(h, _)| &h.id == id))
@@ -644,7 +644,8 @@ fn eof_shutdown_via_connection_loop_drains() {
                   mine id=never dataset=d\n";
     server.serve_connection(std::io::Cursor::new(script), writer(&sink));
     let buf = sink.0.lock().unwrap().clone();
-    let responses = parse_response_stream(&buf).expect("clean stream");
+    let (responses, tail) = parse_response_stream(&buf).expect("clean stream");
+    assert_eq!(tail, 0, "every response is whole");
     let ids: Vec<&str> = responses.iter().map(|(h, _)| h.id.as_str()).collect();
     assert!(ids.contains(&"L") && ids.contains(&"m") && ids.contains(&"bye"));
     // The post-shutdown line is never read: the loop stopped at shutdown.

@@ -7,28 +7,15 @@
 
 use crate::beta::betainc_regularized;
 use crate::gamma::ln_choose;
-use crate::normal::normal_sf;
-
-/// Which numerical route [`binomial_tail_upper`] took; exposed for tests and
-/// for the benchmark harness to report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TailMethod {
-    /// Direct summation of the pmf (small `n`).
-    ExactSum,
-    /// Regularized incomplete beta reduction (the paper's `I(P(x); mu0, m)`).
-    Beta,
-    /// Normal approximation with continuity correction (huge `n`, central p).
-    Normal,
-}
-
-/// Threshold below which exact summation is used.
-const EXACT_N: u64 = 64;
-/// `n * p * (1 - p)` above which the normal approximation is allowed.
-const NORMAL_VARIANCE_MIN: f64 = 1_000.0;
 
 /// Upper tail `P(X >= k)` for `X ~ Bin(n, p)`.
 ///
 /// This is GraphSig's Eqn. 6. Returns 1 for `k == 0` and 0 for `k > n`.
+/// Every other tail is the paper's beta reduction,
+/// `P(X >= k) = I_p(k, n - k + 1)`, which keeps its relative accuracy
+/// however small the tail: output is sorted by p-value, so a route that
+/// is only close in absolute terms (a complement `1 - P(X < k)`, or the
+/// normal approximation) would reorder the smallest ones.
 ///
 /// # Examples
 ///
@@ -38,59 +25,17 @@ const NORMAL_VARIANCE_MIN: f64 = 1_000.0;
 /// assert!((binomial_tail_upper(2, 0.5, 1) - 0.75).abs() < 1e-12);
 /// ```
 pub fn binomial_tail_upper(n: u64, p: f64, k: u64) -> f64 {
-    let (v, _) = binomial_tail_upper_with_method(n, p, k);
-    v
-}
-
-/// Like [`binomial_tail_upper`] but also reports which method was used.
-pub fn binomial_tail_upper_with_method(n: u64, p: f64, k: u64) -> (f64, TailMethod) {
     assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
     if k == 0 {
-        return (1.0, TailMethod::ExactSum);
+        return 1.0;
     }
-    if k > n {
-        return (0.0, TailMethod::ExactSum);
-    }
-    if p == 0.0 {
-        // k >= 1 successes impossible.
-        return (0.0, TailMethod::ExactSum);
+    if k > n || p == 0.0 {
+        return 0.0;
     }
     if p == 1.0 {
-        return (1.0, TailMethod::ExactSum);
+        return 1.0;
     }
-    if n <= EXACT_N {
-        return (exact_tail(n, p, k), TailMethod::ExactSum);
-    }
-    let mean = n as f64 * p;
-    let var = mean * (1.0 - p);
-    // The normal path is only worthwhile when the beta continued fraction
-    // would need many terms AND the CLT error is negligible; we keep the
-    // beta reduction as the default because it is exact.
-    if var > NORMAL_VARIANCE_MIN && (k as f64 - mean).abs() < 8.0 * var.sqrt() {
-        let z = (k as f64 - 0.5 - mean) / var.sqrt();
-        return (normal_sf(z).clamp(0.0, 1.0), TailMethod::Normal);
-    }
-    // P(X >= k) = I_p(k, n - k + 1).
-    let v = betainc_regularized(p, k as f64, (n - k) as f64 + 1.0);
-    (v, TailMethod::Beta)
-}
-
-/// Exact tail by summing the pmf from the smaller side.
-fn exact_tail(n: u64, p: f64, k: u64) -> f64 {
-    // Sum whichever side has fewer terms, in log space per term.
-    if k <= n / 2 {
-        let mut lower = 0.0;
-        for i in 0..k {
-            lower += pmf(n, p, i);
-        }
-        (1.0 - lower).clamp(0.0, 1.0)
-    } else {
-        let mut upper = 0.0;
-        for i in k..=n {
-            upper += pmf(n, p, i);
-        }
-        upper.clamp(0.0, 1.0)
-    }
+    betainc_regularized(p, k as f64, (n - k) as f64 + 1.0)
 }
 
 /// Binomial pmf `P(X = k)` computed in log space.
@@ -212,18 +157,94 @@ mod tests {
         }
     }
 
-    #[test]
-    fn normal_path_close_to_beta() {
-        // Force a regime where the normal path triggers and compare against
-        // the beta reduction directly.
-        let n = 1_000_000u64;
-        let p = 0.01;
-        for &k in &[9_500u64, 10_000, 10_500] {
-            let (got, method) = binomial_tail_upper_with_method(n, p, k);
-            assert_eq!(method, TailMethod::Normal);
-            let want = betainc_regularized(p, k as f64, (n - k) as f64 + 1.0);
-            close(got, want, 2e-3);
+    /// `P(X >= k)` summed in log space, sharing no code with the beta
+    /// reduction: `ln C(n, k)` is a compensated sum of `ln((n - m + j) / j)`
+    /// (no gamma function), and each later term is the previous one times
+    /// `(n - i) / (i + 1) * p / (1 - p)`. The walk stops once a term has
+    /// fallen 50 nats below the largest: the pmf is unimodal, so every term
+    /// after it is smaller still, and at most `n` of them add under 1e-15
+    /// relative for `n <= 10^6`. Accurate to about 1e-12 wherever the walk
+    /// is short or its terms are near the largest: every `n <= 64`, and
+    /// `k` from the mean up for larger `n`.
+    fn log_space_tail(n: u64, p: f64, k: u64) -> f64 {
+        let (ln_p, ln_q) = (p.ln(), (-p).ln_1p());
+        let m = k.min(n - k);
+        let (mut ln_c, mut carry) = (0.0f64, 0.0f64);
+        for j in 1..=m {
+            let x = ((n - m + j) as f64 / j as f64).ln();
+            let t = ln_c + x;
+            carry += if ln_c.abs() >= x.abs() {
+                (ln_c - t) + x
+            } else {
+                (x - t) + ln_c
+            };
+            ln_c = t;
         }
+        let mut ln_term = ln_c + carry + k as f64 * ln_p + (n - k) as f64 * ln_q;
+        let (mut ln_max, mut sum) = (ln_term, 1.0f64);
+        for i in k..n {
+            ln_term += ((n - i) as f64 / (i + 1) as f64).ln() + ln_p - ln_q;
+            if ln_term > ln_max {
+                sum = sum * (ln_max - ln_term).exp() + 1.0;
+                ln_max = ln_term;
+            } else {
+                sum += (ln_term - ln_max).exp();
+            }
+            if ln_term < ln_max - 50.0 {
+                break;
+            }
+        }
+        (ln_max + sum.ln()).exp()
+    }
+
+    fn assert_relative(n: u64, p: f64, k: u64, tol: f64) -> f64 {
+        let got = binomial_tail_upper(n, p, k);
+        let want = log_space_tail(n, p, k);
+        let err = (got - want).abs() / want;
+        assert!(
+            err <= tol,
+            "n={n} p={p} k={k}: {got:e} vs {want:e} (relative error {err:e})"
+        );
+        want
+    }
+
+    const GRID_P: [f64; 11] = [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9];
+
+    #[test]
+    fn tail_has_small_relative_error_down_to_1e300() {
+        // A tail that the complement `1 - P(X < k)` cancels to rounding
+        // noise, and one that the normal approximation puts 5x too low.
+        let tiny = assert_relative(64, 0.001, 32, 1e-8);
+        close(tiny / 1.776_604_518_150e-78, 1.0, 1e-10);
+        let normal = assert_relative(200_000, 0.01, 2_352, 1e-8);
+        close(normal / 7.401_016_58e-15, 1.0, 1e-8);
+        // Every k of every n up to 64.
+        for n in 2..=64u64 {
+            for p in GRID_P {
+                for k in 1..=n {
+                    assert_relative(n, p, k, 1e-8);
+                }
+            }
+        }
+        // Large n, from the mean out to tails near f64's smallest normal
+        // value (n = 16 198 is the largest label group of a 1000-molecule
+        // mine).
+        let mut smallest = 1.0f64;
+        for n in [1_000u64, 16_198, 200_000, 1_000_000] {
+            for p in GRID_P {
+                let (mean, sd) = (n as f64 * p, (n as f64 * p * (1.0 - p)).sqrt());
+                for z in [
+                    0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0, 40.0, 45.0, 50.0,
+                ] {
+                    let k = (mean + z * sd).ceil().max(1.0) as u64;
+                    if k > n || log_space_tail(n, p, k) < 1e-300 {
+                        continue;
+                    }
+                    smallest = smallest.min(assert_relative(n, p, k, 1e-8));
+                }
+            }
+        }
+        assert!(smallest < 1e-290, "grid never reached 1e-300: {smallest:e}");
     }
 
     #[test]

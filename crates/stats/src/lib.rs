@@ -10,34 +10,33 @@
 //! ```
 //!
 //! The paper notes that this sum reduces to the regularized incomplete beta
-//! function `I(P(x); mu0, m - mu0 + 1)` and that a normal approximation is
-//! adequate when both `m P(x)` and `m (1 - P(x))` are large. This crate
-//! provides exactly those primitives, implemented from scratch:
+//! function `I(P(x); mu0, m - mu0 + 1)`, and that is the one route this
+//! crate takes for every tail. (The paper also offers a normal
+//! approximation for large `m P(x)`; its error is small in absolute terms
+//! but not relative to the tail, and GraphSig sorts its output by
+//! p-value.) The primitives, implemented from scratch:
 //!
 //! * [`ln_gamma`] — Lanczos approximation of `ln Γ(x)`.
 //! * [`ln_choose`] — log binomial coefficients.
 //! * [`betainc_regularized`] — the regularized incomplete beta function
 //!   `I_x(a, b)` via the Lentz continued-fraction expansion.
-//! * [`binomial_tail_upper`] — `P(X ≥ k)` for `X ~ Bin(n, p)`, choosing among
-//!   exact summation, the beta reduction, and the normal approximation.
+//! * [`binomial_tail_upper`] — `P(X ≥ k)` for `X ~ Bin(n, p)` by the beta
+//!   reduction.
 //! * [`Binomial`] — a small distribution type bundling pmf/cdf/tails.
-//! * [`normal_cdf`] / [`normal_sf`] — standard normal CDF / survival via a
-//!   high-accuracy `erfc` approximation.
 //!
 //! All functions are deterministic, allocation-free, and tested against
-//! exact summation and published reference values.
+//! published reference values and, for the tail, a log-space exact sum in
+//! relative terms.
 
 pub mod beta;
 pub mod binomial;
 pub mod descriptive;
 pub mod gamma;
-pub mod normal;
 
 pub use beta::betainc_regularized;
-pub use binomial::{binomial_tail_upper, Binomial, TailMethod};
+pub use binomial::{binomial_tail_upper, Binomial};
 pub use descriptive::{median, percentile, Accumulator};
 pub use gamma::{ln_choose, ln_gamma};
-pub use normal::{normal_cdf, normal_sf};
 
 /// Clamp a probability-like value into `[0, 1]`, guarding against tiny
 /// negative round-off or overshoot from series evaluation.

@@ -17,7 +17,7 @@
 //!
 //! Decisions are drawn from a splitmix64 stream seeded by the plan, so a
 //! given `(seed, operation sequence)` replays the exact same faults. The
-//! chaos harness leans on this to diff faulted runs against an unfaulted
+//! server's chaos soak test leans on this to diff faulted runs against an unfaulted
 //! oracle.
 //!
 //! ## Retry taxonomy

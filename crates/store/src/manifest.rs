@@ -351,6 +351,15 @@ mod tests {
         m.shards[1].gid_start = 200; // gap after 128
         let e = Manifest::decode(&m.encode(), Path::new("m")).unwrap_err();
         assert!(matches!(e, StoreError::GidRangeConflict { .. }), "{e}");
+        m.shards[1] = m.shards[0].clone(); // one shard listed twice
+        let e = Manifest::decode(&m.encode(), Path::new("m")).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                StoreError::GidRangeConflict { .. } | StoreError::Corrupt { .. }
+            ),
+            "{e}"
+        );
     }
 
     #[test]

@@ -661,25 +661,35 @@ mod tests {
 
     #[test]
     fn lenient_open_quarantines_and_serves_survivors() {
-        let db = sample_db();
-        let dir = tmpdir("quarantine");
-        pack(&dir, &db, 2).unwrap();
-        let victim = dir.join("shard-00000.gss");
-        let mut bytes = fs::read(&victim).unwrap();
-        bytes.truncate(bytes.len() / 2);
-        fs::write(&victim, &bytes).unwrap();
-        let opened = open_lenient(&dir).unwrap();
-        assert!(opened.degraded());
-        assert_eq!(opened.report.quarantined.len(), 1);
-        assert_eq!(opened.report.quarantined[0].name, "shard-00000.gss");
-        // Survivors are graphs 2..4, renumbered from 0.
-        assert_eq!(opened.db.len(), 2);
-        assert_eq!(opened.shards.len(), 1);
-        assert_eq!(opened.shards[0].db_start, 0);
-        // The damaged file was moved aside.
-        assert!(!victim.exists());
-        assert!(dir.join("shard-00000.gss.quarantined").exists());
-        let _ = fs::remove_dir_all(&dir);
+        // A torn shard and a shard with one flipped payload bit.
+        let damages: [fn(&mut Vec<u8>); 2] = [
+            |bytes| bytes.truncate(bytes.len() / 2),
+            |bytes| {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x08;
+            },
+        ];
+        for damage in damages {
+            let db = sample_db();
+            let dir = tmpdir("quarantine");
+            pack(&dir, &db, 2).unwrap();
+            let victim = dir.join("shard-00000.gss");
+            let mut bytes = fs::read(&victim).unwrap();
+            damage(&mut bytes);
+            fs::write(&victim, &bytes).unwrap();
+            let opened = open_lenient(&dir).unwrap();
+            assert!(opened.degraded());
+            assert_eq!(opened.report.quarantined.len(), 1);
+            assert_eq!(opened.report.quarantined[0].name, "shard-00000.gss");
+            // Survivors are graphs 2..4, renumbered from 0.
+            assert_eq!(opened.db.len(), 2);
+            assert_eq!(opened.shards.len(), 1);
+            assert_eq!(opened.shards[0].db_start, 0);
+            // The damaged file was moved aside.
+            assert!(!victim.exists());
+            assert!(dir.join("shard-00000.gss.quarantined").exists());
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

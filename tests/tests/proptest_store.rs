@@ -9,7 +9,7 @@ use graphsig_datagen::aids_like;
 use graphsig_graph::write_transactions;
 use graphsig_store::{
     decode_shard, encode_shard, open_lenient, open_strict, pack, verify, LabelLimits, Manifest,
-    StoreError, MANIFEST_NAME,
+    StoreError, MANIFEST_NAME, QUARANTINE_SUFFIX, SHARD_HEADER_LEN,
 };
 use proptest::{collection::vec, proptest, ProptestConfig};
 
@@ -177,6 +177,62 @@ fn every_single_bit_flip_is_detected() {
             );
         }
     }
+}
+
+/// The same damage through a packed store's own readers: a shard cut at
+/// every header boundary (and in its payload), one bit flipped in every
+/// shard byte, and a bit flipped in every third manifest byte. Each must
+/// fail the strict open with a structured error (a cut shard with one of
+/// the truncation family), while the lenient open and `verify` stay
+/// total on the same damage.
+#[test]
+fn damaged_store_files_fail_every_reader_structurally() {
+    let db = aids_like(48, 42).db;
+    let dir = scratch("matrix", 0);
+    pack(&dir, &db, 8).expect("pack");
+    let damage = |name: &str, bytes: &[u8]| {
+        std::fs::write(dir.join(name), bytes).expect("damage file");
+        let err = match open_strict(&dir) {
+            Ok(_) => panic!("undetected damage to {name}"),
+            Err(e) => e,
+        };
+        let _ = verify(&dir);
+        // A lenient open may quarantine the file: it is renamed aside, and
+        // the next case writes the name afresh.
+        let _ = open_lenient(&dir);
+        std::fs::remove_file(dir.join(format!("{name}{QUARANTINE_SUFFIX}"))).ok();
+        err
+    };
+
+    let shard = "shard-00000.gss";
+    let shard_bytes = std::fs::read(dir.join(shard)).expect("read shard");
+    let cuts = (0..=SHARD_HEADER_LEN).chain([SHARD_HEADER_LEN + 1, shard_bytes.len() - 1]);
+    for cut in cuts {
+        let err = damage(shard, &shard_bytes[..cut]);
+        assert!(
+            matches!(
+                err,
+                StoreError::Truncated { .. }
+                    | StoreError::BadMagic { .. }
+                    | StoreError::ChecksumMismatch { .. }
+                    | StoreError::ManifestMismatch { .. }
+            ),
+            "cut at {cut} gave the wrong class: {err}"
+        );
+    }
+    for byte in 0..shard_bytes.len() {
+        let mut bytes = shard_bytes.clone();
+        bytes[byte] ^= 1 << (byte % 8);
+        damage(shard, &bytes);
+    }
+    std::fs::write(dir.join(shard), &shard_bytes).expect("restore shard");
+    let manifest_bytes = std::fs::read(dir.join(MANIFEST_NAME)).expect("read manifest");
+    for byte in (0..manifest_bytes.len()).step_by(3) {
+        let mut bytes = manifest_bytes.clone();
+        bytes[byte] ^= 1 << (byte % 8);
+        damage(MANIFEST_NAME, &bytes);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The error type keeps enough structure to dispatch on: a missing store
