@@ -13,7 +13,9 @@
 //!   `mu_0` is the upper tail (Eqns. 5–6), computed by `graphsig-stats`.
 //! * [`fvmine`] — Algorithm 1: bottom-up, depth-first enumeration of closed
 //!   significant sub-feature vectors with support, duplicate-state, and
-//!   optimistic-p-value pruning.
+//!   optimistic-p-value pruning, over per-feature level bitsets of the
+//!   group (a child's support is an AND and a popcount while dense, one
+//!   bit probe per id once sparse).
 //!
 //! # Example
 //!

@@ -2,14 +2,18 @@
 //! the `tests/` subdirectory of this package (one file per scenario).
 //!
 //! This library holds the independent references those tests compare the
-//! production matcher, miners and window pass against. They share no code
-//! with them beyond [`Graph`]'s and `FeatureSet`'s accessors: plain
-//! exhaustive enumeration, and a per-source power iteration for the random
-//! walk with restart, small enough to be obviously right and slow enough
-//! to be used on tiny inputs only.
+//! production matcher, miners, window pass and FVMine against. They share
+//! no code with them beyond [`Graph`]'s and `FeatureSet`'s accessors and
+//! FVMine's vector and p-value helpers: plain exhaustive enumeration, a
+//! per-source power iteration for the random walk with restart, and
+//! FVMine's search over rows, small enough to be obviously right and slow
+//! enough to be used on small inputs only.
 
 use graphsig_features::FeatureSet;
-use graphsig_graph::{Graph, GraphBuilder, GraphDb, NodeId};
+use graphsig_fvmine::{
+    ceiling_of, floor_of, FvMineConfig, FvMineStats, SignificanceModel, SignificantVector,
+};
+use graphsig_graph::{Graph, GraphBuilder, GraphDb, Meter, NodeId};
 
 /// Largest pattern [`brute_contains`] accepts.
 pub const BRUTE_MAX_PATTERN_NODES: usize = 8;
@@ -126,6 +130,88 @@ pub fn reference_feature_distribution(
         dist.iter_mut().for_each(|x| *x /= total);
     }
     dist
+}
+
+/// FVMine (Algorithm 1) over the group's rows: the same search order,
+/// prunings, [`Meter`] ticks and [`FvMineStats`] counts as
+/// `FvMiner::mine_with_stats_metered`, with each child's support
+/// `S' = {y in S : y_i > x_i}` filtered by reading row `y` for every `y` in
+/// `S`.
+pub fn reference_fvmine(
+    db: &[Vec<u8>],
+    cfg: FvMineConfig,
+    meter: &mut Meter<'_>,
+) -> (Vec<SignificantVector>, FvMineStats) {
+    if db.is_empty() {
+        return (Vec::new(), FvMineStats::default());
+    }
+    let mut search = RowSearch {
+        db,
+        cfg,
+        model: SignificanceModel::from_vectors(db, 10),
+        meter,
+        out: Vec::new(),
+        stats: FvMineStats::default(),
+    };
+    if db.len() >= cfg.min_support {
+        let root: Vec<u32> = (0..db.len() as u32).collect();
+        search.visit(&floor_of(db.iter().map(Vec::as_slice)), &root, 0);
+    }
+    (search.out, search.stats)
+}
+
+/// The reference FVMine's state.
+struct RowSearch<'a, 'm> {
+    db: &'a [Vec<u8>],
+    cfg: FvMineConfig,
+    model: SignificanceModel,
+    meter: &'a mut Meter<'m>,
+    out: Vec<SignificantVector>,
+    stats: FvMineStats,
+}
+
+impl RowSearch<'_, '_> {
+    fn visit(&mut self, x: &[u8], support: &[u32], b: usize) {
+        if !self.meter.tick() {
+            return;
+        }
+        self.stats.states_visited += 1;
+        let p = self.model.p_value(x, support.len() as u64);
+        if p <= self.cfg.max_pvalue {
+            self.out.push(SignificantVector {
+                vector: x.to_vec(),
+                support_ids: support.to_vec(),
+                p_value: p,
+            });
+        }
+        for i in b..x.len() {
+            if !self.meter.tick() {
+                return;
+            }
+            let sub: Vec<u32> = support
+                .iter()
+                .copied()
+                .filter(|&y| self.db[y as usize][i] > x[i])
+                .collect();
+            if sub.len() < self.cfg.min_support {
+                self.stats.pruned_support += 1;
+                continue;
+            }
+            let rows = || sub.iter().map(|&y| self.db[y as usize].as_slice());
+            let x2 = floor_of(rows());
+            if (0..i).any(|j| x2[j] > x[j]) {
+                self.stats.pruned_duplicate += 1;
+                continue;
+            }
+            if self.cfg.optimistic_pruning
+                && self.model.p_value(&ceiling_of(rows()), sub.len() as u64) > self.cfg.max_pvalue
+            {
+                self.stats.pruned_optimistic += 1;
+                continue;
+            }
+            self.visit(&x2, &sub, i);
+        }
+    }
 }
 
 /// One isomorphism class found by [`brute_frequent_subgraphs`].

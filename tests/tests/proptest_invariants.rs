@@ -15,6 +15,7 @@ use graphsig_graph::{
 use graphsig_gspan::{is_min, is_min_unpruned, min_dfs_code, min_dfs_code_unpruned};
 use graphsig_integration::{
     brute_contains, brute_frequent_subgraphs, brute_isomorphic, reference_feature_distribution,
+    reference_fvmine,
 };
 use graphsig_stats::{binomial_tail_upper, Binomial};
 
@@ -450,6 +451,66 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fvmine_matches_the_row_major_reference(
+        n in 1usize..=300,
+        dim in 1usize..=12,
+        seed in any::<u64>(),
+        support_pick in any::<u64>(),
+        support_shift in 0u32..8,
+        max_pvalue in prop::sample::select(vec![1.0, 0.5, 0.1, 0.01]),
+        optimistic_pruning in any::<bool>(),
+        max_steps in 0u64..=200,
+    ) {
+        use graphsig_fvmine::{FvMineConfig, FvMiner};
+        use graphsig_graph::Budget;
+        // Groups of up to 300 vectors, so supports cross the 64- and
+        // 128-bit word boundaries and the miner's switch from bitsets to id
+        // lists. Half the bins are 0, the rest 0..=10, with an occasional
+        // 255 (a feature with no level above it).
+        let mut state = seed | 1;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let db: Vec<Vec<u8>> = (0..n)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| match next(32) {
+                        0 => 255,
+                        r if r < 16 => 0,
+                        _ => next(11) as u8,
+                    })
+                    .collect()
+            })
+            .collect();
+        // min_support in 1..=n, small ones often: only they reach the
+        // id lists (below n / 64 supporters) and deep lattices.
+        let cfg = FvMineConfig {
+            min_support: ((1 + support_pick % n as u64) >> support_shift).max(1) as usize,
+            max_pvalue,
+            optimistic_pruning,
+        };
+        // Unbudgeted, then truncated: the same vectors, supports, p-values,
+        // counters, stop reason and steps.
+        for limit in [None, Some(max_steps)] {
+            let budget = || match limit {
+                Some(k) => Budget::unlimited().with_max_steps(k),
+                None => Budget::unlimited(),
+            };
+            let (b_got, b_want) = (budget(), budget());
+            let (mut m_got, mut m_want) = (b_got.meter(), b_want.meter());
+            let got = FvMiner::new(cfg).mine_with_stats_metered(&db, &mut m_got);
+            let want = reference_fvmine(&db, cfg, &mut m_want);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(m_got.stop_reason(), m_want.stop_reason());
+            drop((m_got, m_want));
+            prop_assert_eq!(b_got.steps_spent(), b_want.steps_spent());
         }
     }
 
