@@ -75,8 +75,7 @@ fn print_usage() {
          \x20                      [--idle-timeout-ms MS] [--handshake-timeout-ms MS]\n\
          \x20                      [--log] [--allow-inject]\n\
          \x20                      (keeps datasets resident; line protocol on stdio, or TCP\n\
-         \x20                       with --tcp — one event loop serves every connection, so\n\
-         \x20                       identical concurrent mines coalesce into one run;\n\
+         \x20                       with --tcp — one event loop serves every connection;\n\
          \x20                       --max-conns caps accepted connections, --max-write-buf\n\
          \x20                       bounds per-client response buffering before disconnect;\n\
          \x20                       --auth-token requires `auth token=...` first on TCP;\n\

@@ -110,9 +110,8 @@ fn server_mine_is_byte_identical_to_one_shot_cli() {
          stats id=S dataset=d\n",
         file.to_str().expect("utf-8 path")
     );
-    // One worker, so `cold` finishes before `warm` starts: with more, `warm`
-    // arrives while `cold` runs and coalesces onto it (answering the
-    // leader's `cached=miss`), which is by design.
+    // One worker, so the requests run in order: `cold` prepares the pass
+    // and every later mine reads it.
     let responses = serve_script(&["--workers", "1"], &script);
     std::fs::remove_dir_all(&dir).ok();
 
@@ -505,33 +504,9 @@ fn tcp_transport_serves_many_clients_with_exactly_one_response_each() {
     // End-to-end over the event-driven TCP transport: one process, many
     // concurrent client connections, mixed operations. Every request gets
     // exactly one response on its own connection; identical concurrent
-    // mines (coalesced or not) are byte-identical to a solo mine; control
-    // requests stay responsive while a sweep occupies the workers.
-    let mut child = graphsig()
-        .args([
-            "serve",
-            "--tcp",
-            "127.0.0.1:0",
-            "--workers",
-            "4",
-            "--queue",
-            "64",
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn graphsig serve --tcp");
-    let mut banner = String::new();
-    std::io::BufReader::new(child.stderr.take().expect("piped stderr"))
-        .read_line(&mut banner)
-        .expect("read listen banner");
-    let addr = banner
-        .trim()
-        .rsplit("listening on ")
-        .next()
-        .expect("address in banner")
-        .to_string();
+    // mines are byte-identical to a solo mine; control requests stay
+    // responsive while a `freq` occupies a worker.
+    let (mut child, addr) = spawn_tcp(&["--workers", "4", "--queue", "64"]);
 
     let mut c0 = Client::connect(&addr);
     c0.send("load id=L dataset=d gen=aids count=80 seed=7\n");
@@ -590,13 +565,13 @@ fn tcp_transport_serves_many_clients_with_exactly_one_response_each() {
         }
     });
 
-    // A sweep and a ping submitted back-to-back on one connection: the
-    // pong must arrive first — sweeps execute on workers, control
-    // requests answer inline from the transport loop.
-    c0.send("sweep id=s dataset=d supports=40,30,20,10 max_edges=5\nping id=pz\n");
+    // A freq and a ping submitted back-to-back on one connection: the
+    // pong must arrive first — freqs execute on workers, control requests
+    // answer inline from the transport loop.
+    c0.send("freq id=s dataset=d min_support=10 max_edges=5\nping id=pz\n");
     let responses = c0.wait(&["s", "pz"]);
     let pos = |id: &str| responses.iter().position(|(h, _)| h.id == id).expect(id);
-    assert!(pos("pz") < pos("s"), "ping starved behind a sweep");
+    assert!(pos("pz") < pos("s"), "ping starved behind a freq");
     assert_eq!(response(&responses, "s").0.status, Status::Ok);
 
     c0.send("shutdown id=bye\n");
@@ -636,17 +611,56 @@ fn serve_answers_control_requests_and_reports_errors() {
     assert_eq!(bye.status, Status::Ok);
 }
 
+/// A `graphsig serve` child, killed and reaped on drop: a test that fails
+/// before its clean shutdown leaves no server running.
+struct ServeChild(Option<std::process::Child>);
+
+impl ServeChild {
+    fn spawn(command: &mut Command) -> Self {
+        Self(Some(command.spawn().expect("spawn graphsig serve")))
+    }
+
+    /// Wait for the child to exit and collect its piped output.
+    fn wait_with_output(mut self) -> std::process::Output {
+        let child = self.0.take().expect("child still held");
+        child.wait_with_output().expect("child exits")
+    }
+}
+
+impl std::ops::Deref for ServeChild {
+    type Target = std::process::Child;
+
+    fn deref(&self) -> &Self::Target {
+        self.0.as_ref().expect("child still held")
+    }
+}
+
+impl std::ops::DerefMut for ServeChild {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.0.as_mut().expect("child still held")
+    }
+}
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Spawn `graphsig serve --tcp 127.0.0.1:0 <extra>` and return the child
 /// plus the address it reported on stderr.
-fn spawn_tcp(extra_args: &[&str]) -> (std::process::Child, String) {
-    let mut child = graphsig()
-        .args(["serve", "--tcp", "127.0.0.1:0"])
-        .args(extra_args)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn graphsig serve --tcp");
+fn spawn_tcp(extra_args: &[&str]) -> (ServeChild, String) {
+    let mut child = ServeChild::spawn(
+        graphsig()
+            .args(["serve", "--tcp", "127.0.0.1:0"])
+            .args(extra_args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped()),
+    );
     let mut banner = String::new();
     std::io::BufReader::new(child.stderr.take().expect("piped stderr"))
         .read_line(&mut banner)
@@ -658,6 +672,26 @@ fn spawn_tcp(extra_args: &[&str]) -> (std::process::Child, String) {
         .expect("address in banner")
         .to_string();
     (child, addr)
+}
+
+/// Wait until the server has picked up every one of `freqs` freqs sent on
+/// another connection, without reading that connection: poll `stats` on
+/// `client` until `freqs` freqs were admitted and none is queued. A fixed
+/// pause instead races the server: on a loaded machine it may not yet have
+/// filled the kernel buffers when the client starts reading, and once the
+/// client reads they never fill.
+fn wait_until_freqs_run(client: &mut Client, freqs: u64) {
+    for round in 0.. {
+        let id = format!("progress{round}");
+        client.send(&format!("stats id={id}\n"));
+        let responses = client.wait(&[&id]);
+        let (h, _) = response(&responses, &id);
+        let count = |key: &str| h.field(key).and_then(|v| v.parse::<u64>().ok());
+        if count("op_freq") >= Some(freqs) && count("queued") == Some(0) {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
 }
 
 /// Read from `stream` until EOF or `deadline`; returns the bytes and
@@ -792,21 +826,21 @@ fn client_dropped_at_write_buffer_cap_never_sees_a_lying_frame() {
     let responses = setup.wait(&["L"]);
     assert_eq!(response(&responses, "L").0.status, Status::Ok);
 
-    // 400 coalesced mines at ~16 KiB per response: ~6 MiB of output,
-    // comfortably past what loopback kernel buffers can absorb for a
-    // reader that never reads, so the server's write side must block and
-    // the 4 KiB userspace cap engages.
+    // 100 freqs at ~117 KB per response: ~12 MB of output, far past what
+    // loopback kernel buffers can absorb for a reader that never reads
+    // (about 4 MB), so the server's write side must block and the 4 KiB
+    // userspace cap engages.
     let mut slow = std::net::TcpStream::connect(&addr).expect("connect");
     let mut burst = String::new();
-    for i in 0..400 {
+    for i in 0..100 {
         burst.push_str(&format!(
-            "mine id=s{i} dataset=d min_freq=0.02 max_pvalue=0.1 radius=4\n"
+            "freq id=s{i} dataset=d min_support=10 max_edges=5\n"
         ));
     }
     slow.write_all(burst.as_bytes()).expect("send burst");
-    // Do not read until the server has mined and shed the connection;
-    // then collect whatever prefix was delivered.
-    std::thread::sleep(std::time::Duration::from_secs(5));
+    // Do not read until the server has answered the burst and shed the
+    // connection; then collect whatever prefix was delivered.
+    wait_until_freqs_run(&mut setup, 100);
     let (buf, eof) = drain(
         &mut slow,
         std::time::Instant::now() + std::time::Duration::from_secs(60),
@@ -815,9 +849,9 @@ fn client_dropped_at_write_buffer_cap_never_sees_a_lying_frame() {
     let (complete, truncated_tail) =
         parse_response_stream(&buf).expect("no lying complete frame in prefix");
     // The drop happens mid-stream: we observed *some* bytes and not all
-    // 400 responses.
+    // 100 responses.
     assert!(
-        complete.len() < 400,
+        complete.len() < 100,
         "cap did not engage: all {} responses delivered (tail {truncated_tail})",
         complete.len()
     );
@@ -828,25 +862,68 @@ fn client_dropped_at_write_buffer_cap_never_sees_a_lying_frame() {
 }
 
 #[test]
+fn dropped_connection_sees_eof_while_its_requests_still_run() {
+    // A client dropped by backpressure must see EOF at once, although a
+    // long mine and queued freqs it sent still hold its response writer.
+    let (mut child, addr) = spawn_tcp(&[
+        "--workers",
+        "2",
+        "--queue",
+        "1024",
+        "--max-write-buf",
+        "4096",
+        "--allow-inject",
+    ]);
+    let mut setup = Client::connect(&addr);
+    setup.send("load id=L dataset=d gen=aids count=200 seed=7\n");
+    let responses = setup.wait(&["L"]);
+    assert_eq!(response(&responses, "L").0.status, Status::Ok);
+
+    // One worker sleeps in the mine for 60 s; the other answers freqs of
+    // ~117 KB each, whose unread output overflows the write buffer.
+    let mut slow = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut burst = String::from("mine id=hold dataset=d radius=3 sleep_ms=60000\n");
+    for i in 0..100 {
+        burst.push_str(&format!(
+            "freq id=s{i} dataset=d min_support=10 max_edges=5\n"
+        ));
+    }
+    slow.write_all(burst.as_bytes()).expect("send burst");
+    wait_until_freqs_run(&mut setup, 100);
+    // The mine still sleeps, holding the connection's writer for most of
+    // a minute: the EOF must come from the drop, not from its end.
+    let answered = std::time::Instant::now();
+    let (buf, eof) = drain(&mut slow, answered + std::time::Duration::from_secs(10));
+    assert!(
+        eof,
+        "no EOF {:?} after every freq was answered: the dropped connection stayed open",
+        answered.elapsed()
+    );
+    parse_response_stream(&buf).expect("no lying complete frame in prefix");
+
+    setup.send("cancel id=c target=hold\nshutdown id=bye\n");
+    setup.wait(&["bye"]);
+    assert!(child.wait().expect("child exits").success());
+}
+
+#[test]
 fn request_log_reports_each_request_with_its_role_and_timings() {
     // `--log` writes one stderr line per answered work request (control
-    // ops are not logged). Each rider logs its own queue wait and the
-    // execute time of the run it shared, so a coalesced rider's exec_us
-    // equals its leader's.
-    let mut child = graphsig()
-        .args(["serve", "--log", "--workers", "4", "--allow-inject"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn graphsig serve --log");
+    // ops are not logged), with its own queue wait and execute time.
+    let mut child = ServeChild::spawn(
+        graphsig()
+            .args(["serve", "--log", "--workers", "4", "--allow-inject"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped()),
+    );
     let mine = "mine dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 sleep_ms=2000";
     let script = format!(
         "load id=L dataset=d gen=aids count=40 seed=2\n\
          {mine} id=m1\n\
          {mine} id=m2\n\
          freq id=f dataset=d min_support=10 max_edges=3\n\
-         sweep id=s dataset=d supports=20,10 max_edges=3\n\
+         freq id=s dataset=d min_support=20 max_edges=3\n\
          stats id=S dataset=d\n\
          ping id=p\n"
     );
@@ -856,7 +933,7 @@ fn request_log_reports_each_request_with_its_role_and_timings() {
         .expect("piped stdin")
         .write_all(script.as_bytes())
         .expect("write request script");
-    let output = child.wait_with_output().expect("child exits");
+    let output = child.wait_with_output();
     assert!(output.status.success(), "serve must exit 0 on clean EOF");
     let (responses, tail) =
         parse_response_stream(&output.stdout).expect("well-framed response stream");
@@ -883,24 +960,14 @@ fn request_log_reports_each_request_with_its_role_and_timings() {
         assert_eq!(found.len(), 1, "one log line for {id}:\n{stderr}");
         found[0]
     };
-    for (id, role) in [("L", "solo"), ("f", "solo"), ("s", "solo"), ("S", "solo")] {
-        assert_eq!(field(line(id), "role"), role, "{}", line(id));
+    for id in ["L", "f", "s", "S"] {
+        assert_eq!(field(line(id), "status"), "ok", "{}", line(id));
     }
-    let (m1, m2) = (line("m1"), line("m2"));
-    let mut roles = [field(m1, "role"), field(m2, "role")];
-    roles.sort();
-    assert_eq!(
-        roles,
-        ["lead", "rider"],
-        "identical mines coalesce:\n{stderr}"
-    );
-    assert_eq!(
-        field(m1, "exec_us"),
-        field(m2, "exec_us"),
-        "a rider logs its leader's execute time:\n{stderr}"
-    );
-    let exec_us: u64 = field(m1, "exec_us").parse().expect("numeric exec_us");
-    assert!(exec_us >= 2_000_000, "the shared run slept 2 s: {m1}");
+    // Identical mines each run, and each logs its own 2 s sleep.
+    for id in ["m1", "m2"] {
+        let exec_us: u64 = field(line(id), "exec_us").parse().expect("numeric exec_us");
+        assert!(exec_us >= 2_000_000, "{id} slept 2 s: {}", line(id));
+    }
     for l in &lines {
         field(l, "queue_wait_us")
             .parse::<u64>()

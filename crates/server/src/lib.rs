@@ -15,10 +15,9 @@
 //!   load-shedding, per-request [`Budget`](graphsig_core::Budget)s and
 //!   [`CancelToken`](graphsig_core::CancelToken)s under server-enforced
 //!   ceilings, panic isolation per request, and graceful drain on
-//!   shutdown. Its two halves are private modules: `flight`, the one
-//!   scheduling model (every admitted request is a flight of exactly one
-//!   work unit answered to one or more riders — solo requests and
-//!   coalesced identical `mine`s), and `registry`, the resident datasets
+//!   shutdown. Its two halves are private modules: `scheduler`, the one
+//!   scheduling model (every admitted request is one job, run once and
+//!   answered once), and `registry`, the resident datasets
 //!   (one prepared window pass + one
 //!   [`LabelPairIndex`](graphsig_graph::LabelPairIndex) per dataset
 //!   version with versioned invalidation on `load`, load ordering, and the
@@ -33,9 +32,9 @@
 //! drive the store fault plane, mid-ingest kills, the memory admission
 //! governor and connection lifecycle deadlines.
 
-pub(crate) mod flight;
 pub mod protocol;
 pub(crate) mod registry;
+pub(crate) mod scheduler;
 pub mod server;
 pub mod transport;
 

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! request  := op (WS key "=" value)*
-//! op       := "load" | "mine" | "freq" | "sweep" | "stats" | "cancel" | "ping" | "shutdown" | "auth"
+//! op       := "load" | "mine" | "freq" | "stats" | "cancel" | "ping" | "shutdown" | "auth"
 //! key      := [a-z_]+
 //! value    := escaped token (no whitespace)
 //! ```
@@ -24,8 +24,7 @@
 //! |---|---|
 //! | `load` | `dataset=` plus `path=` *or* `gen=aids count= [seed=]` (`count` at least 20); `[format=text\|packed]` (`packed` opens a sharded store directory leniently — damaged shards are quarantined and the dataset serves degraded); `[append=true]` extends the resident dataset instead of replacing it (as a new version, which builds its own caches) |
 //! | `mine` | `dataset=` `[max_pvalue=] [min_freq=] [radius=] [fsm_freq=] [threads=] [top=] [timeout_ms=] [max_steps=]` (+ fault-injection keys `sleep_ms=` / `inject=panic`, only honored when the server enables them); `threads=` is clamped to the server's core count (0 = auto) |
-//! | `freq` | `dataset=` `min_support=` `[backend=fsg\|gspan] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]`; `threads=` clamped as for `mine` |
-//! | `sweep` | `dataset=` `supports=<s1,s2,...>` `[backend=] [max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]` — one `freq` run per threshold, in order on one worker, over one shared index build; per-threshold payload segments are byte-identical to individual `freq` calls; `threads=` clamped as for `mine` |
+//! | `freq` | `dataset=` `min_support=` `[max_edges=] [max_patterns=] [threads=] [timeout_ms=] [max_steps=]` — FSG over the dataset version's one shared label-pair index; `threads=` clamped as for `mine` |
 //! | `stats` | `[dataset=]` |
 //! | `cancel` | `target=<request id>` |
 //! | `ping` | — |
@@ -48,6 +47,7 @@
 //! reports `status=error` with the panic message — the server keeps
 //! serving. `bytes=` is always the last header field.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// Longest accepted request line (raw bytes, before unescaping). Keeps a
@@ -118,15 +118,6 @@ pub fn unescape(token: &str) -> Result<String, ProtocolError> {
         }
     }
     String::from_utf8(out).map_err(|_| err(format!("escape in '{token}' is not valid UTF-8")))
-}
-
-/// Which frequent-subgraph miner a `freq` or `sweep` request names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Level-wise apriori (`graphsig-fsg`), the default.
-    Fsg,
-    /// DFS-code pattern growth (`graphsig-gspan`).
-    GSpan,
 }
 
 /// Budget keys shared by `mine` and `freq`.
@@ -218,8 +209,6 @@ pub struct FreqRequest {
     pub dataset: String,
     /// Absolute support threshold.
     pub min_support: usize,
-    /// Miner to run (default FSG).
-    pub backend: Option<BackendKind>,
     /// Pattern edge cap.
     pub max_edges: Option<usize>,
     /// Pattern count cap.
@@ -227,30 +216,6 @@ pub struct FreqRequest {
     /// Worker threads for this request (0 = auto).
     pub threads: Option<usize>,
     /// Deadline / step caps.
-    pub budget: BudgetParams,
-}
-
-/// `sweep`: a threshold sweep of `freq` runs over one shared index build.
-/// The per-threshold payload segments are byte-identical to the payloads
-/// the equivalent individual `freq` calls would produce (unbudgeted), so
-/// clients can switch between the two forms without reparsing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRequest {
-    /// Request id.
-    pub id: String,
-    /// Resident dataset name.
-    pub dataset: String,
-    /// Absolute support thresholds, run in the given order.
-    pub supports: Vec<usize>,
-    /// Miner to run (default FSG).
-    pub backend: Option<BackendKind>,
-    /// Pattern edge cap.
-    pub max_edges: Option<usize>,
-    /// Pattern count cap.
-    pub max_patterns: Option<usize>,
-    /// Worker threads for this request (0 = auto).
-    pub threads: Option<usize>,
-    /// Deadline / step caps — one budget governs the whole sweep.
     pub budget: BudgetParams,
 }
 
@@ -263,8 +228,6 @@ pub enum Request {
     Mine(MineRequest),
     /// Mine frequent subgraphs via the shared index.
     Freq(FreqRequest),
-    /// Threshold sweep of `freq` runs over one shared index build.
-    Sweep(SweepRequest),
     /// Server / dataset observability.
     Stats {
         /// Request id.
@@ -307,7 +270,6 @@ impl Request {
             Request::Load(r) => &r.id,
             Request::Mine(r) => &r.id,
             Request::Freq(r) => &r.id,
-            Request::Sweep(r) => &r.id,
             Request::Stats { id, .. } => id,
             Request::Cancel { id, .. } => id,
             Request::Ping { id } => id,
@@ -322,7 +284,6 @@ impl Request {
             Request::Load(_) => "load",
             Request::Mine(_) => "mine",
             Request::Freq(_) => "freq",
-            Request::Sweep(_) => "sweep",
             Request::Stats { .. } => "stats",
             Request::Cancel { .. } => "cancel",
             Request::Ping { .. } => "ping",
@@ -337,7 +298,6 @@ impl Request {
             Request::Load(r) => Some(&r.dataset),
             Request::Mine(r) => Some(&r.dataset),
             Request::Freq(r) => Some(&r.dataset),
-            Request::Sweep(r) => Some(&r.dataset),
             Request::Stats { dataset, .. } => dataset.as_deref(),
             _ => None,
         }
@@ -352,6 +312,9 @@ struct Fields {
 impl Fields {
     fn parse(tokens: std::str::SplitAsciiWhitespace<'_>) -> Result<Fields, ProtocolError> {
         let mut pairs: Vec<(String, String)> = Vec::new();
+        // A line may carry thousands of keys: one hash probe each keeps the
+        // duplicate check linear in the line.
+        let mut seen = HashSet::new();
         for tok in tokens {
             let (k, v) = tok
                 .split_once('=')
@@ -359,7 +322,7 @@ impl Fields {
             if k.is_empty() || !k.bytes().all(|b| b.is_ascii_lowercase() || b == b'_') {
                 return Err(err(format!("bad key '{k}'")));
             }
-            if pairs.iter().any(|(seen, _)| seen == k) {
+            if !seen.insert(k) {
                 return Err(err(format!("duplicate key '{k}'")));
             }
             pairs.push((k.to_string(), unescape(v)?));
@@ -391,15 +354,6 @@ impl Fields {
         let v = self.require(key)?;
         v.parse()
             .map_err(|_| err(format!("bad value for '{key}': '{v}'")))
-    }
-
-    fn take_backend(&mut self) -> Result<Option<BackendKind>, ProtocolError> {
-        match self.take("backend").as_deref() {
-            None => Ok(None),
-            Some("fsg") => Ok(Some(BackendKind::Fsg)),
-            Some("gspan") => Ok(Some(BackendKind::GSpan)),
-            Some(other) => Err(err(format!("unknown backend '{other}'"))),
-        }
     }
 
     fn take_budget(&mut self) -> Result<BudgetParams, ProtocolError> {
@@ -515,7 +469,6 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
                     id: id.clone(),
                     dataset: fields.require("dataset")?,
                     min_support: fields.require_parse("min_support")?,
-                    backend: fields.take_backend()?,
                     max_edges: fields.take_parse("max_edges")?,
                     max_patterns: fields.take_parse("max_patterns")?,
                     threads: fields.take_parse("threads")?,
@@ -523,28 +476,6 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
                 };
                 fields.finish("freq")?;
                 Ok(Request::Freq(r))
-            }
-            "sweep" => {
-                let raw = fields.require("supports")?;
-                let supports: Vec<usize> = raw
-                    .split(',')
-                    .map(|t| {
-                        t.parse()
-                            .map_err(|_| err(format!("bad support '{t}' in supports list")))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let r = SweepRequest {
-                    id: id.clone(),
-                    dataset: fields.require("dataset")?,
-                    supports,
-                    backend: fields.take_backend()?,
-                    max_edges: fields.take_parse("max_edges")?,
-                    max_patterns: fields.take_parse("max_patterns")?,
-                    threads: fields.take_parse("threads")?,
-                    budget: fields.take_budget()?,
-                };
-                fields.finish("sweep")?;
-                Ok(Request::Sweep(r))
             }
             "stats" => {
                 let dataset = fields.take("dataset");
@@ -835,42 +766,25 @@ mod tests {
     #[test]
     fn parses_matcher_key_on_mine_and_freq() {
         // There is one isomorphism engine, so `matcher=` is rejected like
-        // any other unknown key, whatever its value.
-        for (op, line) in [
-            ("mine", "mine id=1 dataset=d matcher=fast"),
-            ("freq", "freq id=2 dataset=d min_support=3 matcher=vf2"),
-            ("sweep", "sweep id=3 dataset=d supports=4,2 matcher=fast"),
+        // any other unknown key, whatever its value; and FSG is the one
+        // frequent-subgraph miner, so `freq` takes no `backend=` either.
+        for (op, key, line) in [
+            ("mine", "matcher", "mine id=1 dataset=d matcher=fast"),
+            (
+                "freq",
+                "matcher",
+                "freq id=2 dataset=d min_support=3 matcher=vf2",
+            ),
+            (
+                "freq",
+                "backend",
+                "freq id=3 dataset=d min_support=3 backend=gspan",
+            ),
         ] {
             let Err(e) = parse_request(line) else {
                 panic!("accepted: {line}");
             };
-            assert_eq!(
-                e.to_string(),
-                format!("unknown key 'matcher' for op '{op}'")
-            );
-        }
-    }
-
-    #[test]
-    fn parses_sweep_with_support_list() {
-        let line = "sweep id=9 dataset=d supports=10,8,6 backend=fsg \
-                    max_edges=6 max_patterns=500 threads=1 timeout_ms=900 max_steps=77";
-        let Ok(Some(Request::Sweep(r))) = parse_request(line) else {
-            panic!("parse failed");
-        };
-        assert_eq!(r.id, "9");
-        assert_eq!(r.supports, vec![10, 8, 6]);
-        assert_eq!(r.backend, Some(BackendKind::Fsg));
-        assert_eq!(r.budget.timeout_ms, Some(900));
-        assert_eq!(r.budget.max_steps, Some(77));
-        // Malformed lists are rejected, never a panic.
-        for bad in [
-            "sweep id=1 dataset=d",
-            "sweep id=1 dataset=d supports=",
-            "sweep id=1 dataset=d supports=3,x",
-            "sweep id=1 dataset=d supports=3,,4",
-        ] {
-            assert!(parse_request(bad).is_err(), "accepted: {bad}");
+            assert_eq!(e.to_string(), format!("unknown key '{key}' for op '{op}'"));
         }
     }
 
@@ -940,8 +854,38 @@ mod tests {
         assert_eq!(e.id.as_deref(), Some("42"));
         let e = parse_request("explode id=9").unwrap_err();
         assert_eq!(e.id.as_deref(), Some("9"));
+        // A threshold sweep is N `freq` calls; there is no `sweep` op.
+        let e = parse_request("sweep id=3 dataset=d supports=4,2").unwrap_err();
+        assert_eq!(e.to_string(), "unknown op 'sweep'");
+        assert_eq!(e.id.as_deref(), Some("3"));
         let e = parse_request("mine dataset=d").unwrap_err();
         assert_eq!(e.id, None);
+    }
+
+    #[test]
+    fn a_line_of_thousands_of_distinct_keys_is_rejected_in_linear_time() {
+        // The longest line the protocol accepts, filled with distinct
+        // 3-letter keys: a duplicate check that compares every key with
+        // every earlier one makes about 60 M comparisons per line.
+        let mut line = String::from("mine id=k dataset=d");
+        let mut keys = 0;
+        while line.len() + " aaa=1".len() <= MAX_LINE_BYTES {
+            let letter = |i: usize| char::from(b'a' + (i % 26) as u8);
+            let key: String = [keys / 676, keys / 26, keys].map(letter).iter().collect();
+            line.push_str(&format!(" {key}=1"));
+            keys += 1;
+        }
+        assert!(keys > 10_000, "{keys} keys");
+        let started = std::time::Instant::now();
+        for _ in 0..20 {
+            let e = parse_request(&line).unwrap_err();
+            assert!(e.message.starts_with("unknown key "), "{e}");
+        }
+        let took = started.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(500),
+            "20 lines of {keys} keys took {took:?}"
+        );
     }
 
     #[test]

@@ -102,9 +102,8 @@ pub(crate) struct Dataset {
 
 impl Dataset {
     /// The shared label-pair index, built over the whole db on first use.
-    /// The `OnceLock` is also the coalescing point for concurrent
-    /// `freq`/`sweep` requests: the first builder runs alone, everyone
-    /// else blocks briefly and shares the one build.
+    /// Concurrent first `freq`s build it once: the first builder runs
+    /// alone, and the others block on the `OnceLock` and share its build.
     pub(crate) fn index(&self) -> Arc<LabelPairIndex> {
         self.index
             .get_or_init(|| Arc::new(LabelPairIndex::build(&self.db)))

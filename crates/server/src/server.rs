@@ -1,10 +1,10 @@
 //! The resident mining service: bounded admission, a worker pool running
-//! flights, the dataset registry, and graceful degradation.
+//! jobs, the dataset registry, and graceful degradation.
 //!
 //! # Robustness policy
 //!
 //! * **Backpressure, not unbounded queueing.** Work requests (`load`,
-//!   `mine`, `freq`, `sweep`, `stats`) go through a bounded queue; when it
+//!   `mine`, `freq`, `stats`) go through a bounded queue; when it
 //!   is full the request is rejected *immediately* with `status=busy` and
 //!   the current depth, so a client can back off. Control messages
 //!   (`ping`, `cancel`, `shutdown`, `auth`) never queue — they are handled
@@ -12,39 +12,35 @@
 //!   cancelled into headroom, or shut down. A refused request is never
 //!   visible to `cancel`: its id is registered only on admission, so
 //!   `found=true` always means "the server accepted this id".
-//! * **One scheduling model.** Every admitted request becomes a flight
-//!   of exactly one work unit (see the `flight` module): solo requests,
-//!   and coalesced `mine` runs shared by identical concurrent requests. A
-//!   `sweep` runs its thresholds in order on its one worker. One
-//!   completion path answers every admitted request, whichever way its
-//!   flight ended.
+//! * **One scheduling model.** Every admitted request becomes one job
+//!   (see the `scheduler` module): a worker runs it once, and one
+//!   completion function writes its one response, however it ended.
 //! * **Load ordering.** A request naming dataset X sees every `load` of X
 //!   admitted before it, from any connection (see the `registry` module).
-//! * **Per-request governance.** Every flight carries its own
+//! * **Per-request governance.** Every job carries its own
 //!   [`CancelToken`] and a [`Budget`] assembled from the request's
 //!   `timeout_ms`/`max_steps`, clamped by the server's ceilings. Deadlines
 //!   run from *submission*, so time spent queued counts — a request that
 //!   waited out its deadline returns `truncated (deadline exceeded)`
 //!   instead of silently mining stale work.
-//! * **Panic isolation.** Units run under
+//! * **Panic isolation.** Jobs run under
 //!   [`try_par_map`](graphsig_core::try_par_map): a poisoned request
 //!   (malformed data tripping a bug, injected faults in tests) produces a
-//!   `status=error` response carrying the panic message for every rider of
-//!   its flight; the worker and the server keep serving.
+//!   `status=error` response carrying the panic message; the worker and
+//!   the server keep serving.
 //! * **Graceful shutdown.** `shutdown` stops intake, waits for queued and
 //!   running work under a drain deadline, cancels whatever outlives the
 //!   deadline (those requests respond `truncated (cancelled)` — still a
 //!   structured response, never a silent drop), and only then confirms.
 //! * **Shared state with versioned invalidation.** Each resident dataset
 //!   version owns one lazily prepared window pass, shared by every `mine`,
-//!   and one lazily built label-pair index shared by `freq`/`sweep`. `load` replaces the whole entry under a bumped
-//!   version: in-flight requests keep mining their pinned `Arc` snapshot,
-//!   new requests see the new version, and the old caches die with their
-//!   last reference.
+//!   and one lazily built label-pair index shared by every `freq`. `load`
+//!   replaces the whole entry under a bumped version: in-flight requests
+//!   keep mining their pinned `Arc` snapshot, new requests see the new
+//!   version, and the old caches die with their last reference.
 //! * **Observability.** `stats` (no dataset) reports per-op acceptance
-//!   counters, cumulative queue-wait and execute times, and coalesce
-//!   lead/rider counts; `--log` writes one line per answered request with
-//!   its role, queue wait and execute time.
+//!   counters and cumulative queue-wait and execute times; `--log` writes
+//!   one line per answered request with its queue wait and execute time.
 //! * **Bounded fan-out.** A request's `threads=` is clamped to the core
 //!   count (see `request_threads`): the value arrives from the network,
 //!   and the pipeline spreads it over outer × inner workers.
@@ -55,18 +51,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use graphsig_core::{Budget, CancelToken, Completion, GraphSigConfig};
+use graphsig_core::{render_subgraphs, Budget, CancelToken, GraphSigConfig};
+use graphsig_fsg::{Fsg, FsgConfig};
 use graphsig_graph::{parse_transactions_into, GraphDb};
+use graphsig_gspan::Pattern;
 
-use crate::flight::{
-    render_patterns, run_freq, Cancelled, Ending, Flight, FreqParams, MineKey, MineRun, Refusal,
-    Rider, Scheduler, Seat, Unit,
-};
 use crate::protocol::{
     parse_request, BudgetParams, FreqRequest, LoadFormat, LoadRequest, LoadSource, MineRequest,
-    ProtocolError, Request, Response, Status, SweepRequest,
+    ProtocolError, Request, Response, Status,
 };
-use crate::registry::{unknown_dataset, Dataset, Exhausted, Registry, StoreInfo};
+use crate::registry::{unknown_dataset, Exhausted, Registry, StoreInfo};
+use crate::scheduler::{Job, Refusal, Scheduler};
 
 /// Tunables for one [`Server`].
 #[derive(Debug, Clone)]
@@ -146,12 +141,11 @@ struct Counters {
     op_load: AtomicU64,
     op_mine: AtomicU64,
     op_freq: AtomicU64,
-    op_sweep: AtomicU64,
     op_stats: AtomicU64,
     /// Total microseconds requests spent queued before a worker picked
     /// them up (latency attribution: waiting vs working).
     queue_wait_us: AtomicU64,
-    /// Total microseconds workers spent executing units.
+    /// Total microseconds workers spent executing jobs.
     exec_us: AtomicU64,
 }
 
@@ -172,11 +166,6 @@ pub struct ServerSnapshot {
     pub queued: usize,
     /// Jobs currently executing.
     pub active: usize,
-    /// Coalesced mine flights created (each ran the pipeline once).
-    pub coalesce_leads: u64,
-    /// Mine requests that attached to an in-flight run instead of
-    /// executing (each is one whole pipeline run saved).
-    pub coalesce_riders: u64,
     /// Cumulative queue wait across picked-up requests (µs).
     pub queue_wait_us: u64,
     /// Cumulative handler execution time (µs).
@@ -314,8 +303,6 @@ impl ServerInner {
             panics: load(&self.counters.panics),
             queued,
             active,
-            coalesce_leads: load(&self.sched.leads),
-            coalesce_riders: load(&self.sched.riders),
             queue_wait_us: load(&self.counters.queue_wait_us),
             exec_us: load(&self.counters.exec_us),
         }
@@ -330,30 +317,25 @@ impl ServerInner {
         let _ = w.flush();
     }
 
-    /// Answer riders of a flight that ended — or one rider detached from a
-    /// running one. The only place an admitted request is answered: for
-    /// each rider it releases the id, counts the request, logs it with its
-    /// own queue wait and the flight's execute time, and writes the
-    /// response.
-    fn complete(&self, riders: Vec<Rider>, ending: &Ending, exec_us: u64) {
-        self.sched.release(&riders);
-        for rider in &riders {
-            let resp = ending.respond(rider);
-            self.counters.served.fetch_add(1, Ordering::Relaxed);
-            self.log_request(&resp, rider, exec_us);
-            self.write_response(&rider.out, &resp);
-        }
+    /// Answer a job. The only place an admitted request is answered: it
+    /// releases the id, counts the request, logs it with its queue wait and
+    /// execute time, and writes the response.
+    fn complete(&self, job: &Job, resp: &Response, queue_wait_us: u64, exec_us: u64) {
+        self.sched.release(job.request.id());
+        self.counters.served.fetch_add(1, Ordering::Relaxed);
+        self.log_request(resp, queue_wait_us, exec_us);
+        self.write_response(&job.out, resp);
     }
 
     /// One structured stderr line per completed request (`--log`).
-    fn log_request(&self, resp: &Response, rider: &Rider, exec_us: u64) {
+    fn log_request(&self, resp: &Response, queue_wait_us: u64, exec_us: u64) {
         if !self.cfg.log {
             return;
         }
         let f = |key: &str| resp.field(key).unwrap_or("-").to_string();
         eprintln!(
             "[graphsig] op={} id={} status={} dataset={} version={} degraded={} \
-             completion={} role={} queue_wait_us={} exec_us={exec_us}",
+             completion={} queue_wait_us={queue_wait_us} exec_us={exec_us}",
             crate::protocol::escape(&resp.op),
             crate::protocol::escape(&resp.id),
             match resp.status {
@@ -365,8 +347,6 @@ impl ServerInner {
             f("version"),
             f("degraded"),
             f("completion"),
-            rider.role,
-            rider.waited_us,
         );
     }
 
@@ -429,18 +409,7 @@ impl ServerInner {
                 self.auth(id, token, out);
             }
             Request::Cancel { id, target } => {
-                let found = match self.sched.cancel(target) {
-                    Cancelled::Unknown => false,
-                    Cancelled::Signalled => true,
-                    // A rider of a coalesced run answers right now, with no
-                    // execute time of its own; the shared run keeps going
-                    // for the remaining riders.
-                    Cancelled::Detached(rider, dataset) => {
-                        let ending = Ending::Mine(dataset, MineRun::Cancelled);
-                        self.complete(vec![rider], &ending, 0);
-                        true
-                    }
-                };
+                let found = self.sched.cancel(target);
                 self.write_response(
                     out,
                     &Response::new(id, "cancel", Status::Ok)
@@ -458,11 +427,9 @@ impl ServerInner {
                 );
                 return true;
             }
-            Request::Load(_)
-            | Request::Mine(_)
-            | Request::Freq(_)
-            | Request::Sweep(_)
-            | Request::Stats { .. } => self.submit(request, out),
+            Request::Load(_) | Request::Mine(_) | Request::Freq(_) | Request::Stats { .. } => {
+                self.submit(request, out)
+            }
         }
         false
     }
@@ -476,7 +443,6 @@ impl ServerInner {
                     "load" => &self.counters.op_load,
                     "mine" => &self.counters.op_mine,
                     "freq" => &self.counters.op_freq,
-                    "sweep" => &self.counters.op_sweep,
                     _ => &self.counters.op_stats,
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
@@ -497,51 +463,45 @@ impl ServerInner {
     }
 
     fn worker_loop(&self) {
-        while let Some(unit) = self.sched.next() {
-            self.run_unit(unit);
-            self.sched.unit_done();
+        while let Some(job) = self.sched.next() {
+            self.run_job(job);
+            self.sched.job_done();
         }
     }
 
-    /// Run one unit with panic isolation, then answer its flight.
-    fn run_unit(&self, Unit { flight, request }: Unit) {
+    /// Run one job with panic isolation, then answer it.
+    fn run_job(&self, job: Job) {
         let started = Instant::now();
-        let waited_us = started
-            .saturating_duration_since(flight.submitted)
-            .as_micros() as u64;
+        let queue_wait_us = started.saturating_duration_since(job.submitted).as_micros() as u64;
         self.counters
             .queue_wait_us
-            .fetch_add(waited_us, Ordering::Relaxed);
-        flight.picked_up(waited_us);
+            .fetch_add(queue_wait_us, Ordering::Relaxed);
         // try_par_map with a single item runs inline under catch_unwind:
-        // a panicking unit yields a structured error, not a dead worker.
-        let result = graphsig_core::try_par_map(1, std::slice::from_ref(&request), |request| {
-            self.execute(&flight, request)
-        });
+        // a panicking job yields a structured error, not a dead worker.
+        let result =
+            graphsig_core::try_par_map(1, std::slice::from_ref(&job), |job| self.execute(job));
         let exec_us = started.elapsed().as_micros() as u64;
         self.counters.exec_us.fetch_add(exec_us, Ordering::Relaxed);
-        let ending = match result {
-            Ok(mut endings) => endings.pop().flatten(),
+        let resp = match result {
+            Ok(mut resps) => resps.pop().expect("one job, one response"),
             Err(panicked) => {
                 self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                Some(Ending::Panicked {
-                    op: flight.op,
-                    message: panicked.message,
-                })
+                let (id, op) = (job.request.id(), job.request.op());
+                Response::error(
+                    id,
+                    op,
+                    format!("request handler panicked: {}", panicked.message),
+                )
             }
         };
-        // No ending: the request joined another flight's run, which
-        // answers it.
-        if let Some(ending) = ending {
-            self.complete(self.sched.settle(&flight), &ending, exec_us);
-        }
+        self.complete(&job, &resp, queue_wait_us, exec_us);
     }
 
     /// Build the effective budget for a request: request limits clamped by
     /// server ceilings, deadline measured from submission, and always the
-    /// flight's cancel token.
-    fn budget_for(&self, params: &BudgetParams, flight: &Flight) -> Budget {
-        let mut budget = Budget::unlimited().with_cancel(flight.token.clone());
+    /// job's cancel token.
+    fn budget_for(&self, params: &BudgetParams, job: &Job) -> Budget {
+        let mut budget = Budget::unlimited().with_cancel(job.token.clone());
         let timeout_ms = params.timeout_ms.or(self.cfg.default_timeout_ms);
         let timeout_ms = match (timeout_ms, self.cfg.max_timeout_ms) {
             (Some(t), Some(ceiling)) => Some(t.min(ceiling)),
@@ -549,7 +509,7 @@ impl ServerInner {
             (t, None) => t,
         };
         if let Some(ms) = timeout_ms {
-            budget = budget.with_deadline_at(flight.submitted + Duration::from_millis(ms));
+            budget = budget.with_deadline_at(job.submitted + Duration::from_millis(ms));
         }
         let max_steps = match (params.max_steps, self.cfg.max_steps_ceiling) {
             (Some(s), Some(ceiling)) => Some(s.min(ceiling)),
@@ -561,19 +521,16 @@ impl ServerInner {
         budget
     }
 
-    /// Run a flight's request. `None` means the request joined another
-    /// flight's run.
-    fn execute(&self, flight: &Arc<Flight>, request: &Request) -> Option<Ending> {
-        let resp = match request {
-            Request::Load(r) => self.exec_load(r, flight.ticket),
-            Request::Mine(r) => return self.exec_mine(flight, r),
-            Request::Freq(r) => self.exec_freq(r, flight),
-            Request::Sweep(r) => self.exec_sweep(r, flight),
-            Request::Stats { id, dataset } => self.exec_stats(id, dataset.as_deref(), flight),
+    /// Run a job's request into its response.
+    fn execute(&self, job: &Job) -> Response {
+        match &job.request {
+            Request::Load(r) => self.exec_load(r, job.ticket),
+            Request::Mine(r) => self.exec_mine(r, job),
+            Request::Freq(r) => self.exec_freq(r, job),
+            Request::Stats { id, dataset } => self.exec_stats(id, dataset.as_deref(), job),
             // Control ops never reach the queue.
             other => Response::error(other.id(), other.op(), "internal: control op queued"),
-        };
-        Some(Ending::Response(resp))
+        }
     }
 
     fn exec_load(&self, r: &LoadRequest, ticket: u64) -> Response {
@@ -657,14 +614,15 @@ impl ServerInner {
         }
     }
 
-    /// `mine`: unbudgeted requests coalesce on [`MineKey`]; the flight that
-    /// runs answers every rider.
-    fn exec_mine(&self, flight: &Arc<Flight>, r: &MineRequest) -> Option<Ending> {
-        let error = |message: &str| Some(Ending::Response(Response::error(&r.id, "mine", message)));
+    /// `mine`: one governed pipeline run over the dataset version's one
+    /// prepared window pass. Fault injection happens here, under the job's
+    /// token, so an injected sleep is cancellable exactly like real work.
+    fn exec_mine(&self, r: &MineRequest, job: &Job) -> Response {
+        let error = |message: &str| Response::error(&r.id, "mine", message);
         if (r.inject_panic || r.sleep_ms.is_some()) && !self.cfg.allow_inject {
             return error("fault-injection keys are disabled");
         }
-        let dataset = match self.registry.get(&r.dataset, flight.ticket) {
+        let dataset = match self.registry.get(&r.dataset, job.ticket) {
             Ok(d) => d,
             Err(e) => return error(&e),
         };
@@ -675,77 +633,60 @@ impl ServerInner {
             radius: r.radius.unwrap_or(defaults.radius),
             fsm_freq: r.fsm_freq.unwrap_or(defaults.fsm_freq),
             threads: request_threads(r.threads),
+            budget: Some(self.budget_for(&r.budget, job)),
             ..defaults
         };
         // GraphSig::new panics on these; reject structured instead.
         if let Err(e) = cfg.validate() {
             return error(&e);
         }
-        // Explicit budgets run solo: a step budget is a determinism
-        // contract with this request, and a deadline anchors to this
-        // request's own submission instant. A request cancelled while
-        // queued answers without running.
-        let seat = if r.budget.timeout_ms.is_some() || r.budget.max_steps.is_some() {
-            if flight.token.is_cancelled() {
-                Seat::Cancelled
-            } else {
-                Seat::Run
-            }
-        } else {
-            self.sched
-                .coalesce(flight, MineKey::of(&dataset, &cfg, r), &dataset)
-        };
-        let run = match seat {
-            Seat::Ride => return None,
-            Seat::Cancelled => MineRun::Cancelled,
-            Seat::Run => self.run_mine(r, &cfg, flight, &dataset),
-        };
-        Some(Ending::Mine(dataset, run))
-    }
-
-    /// The governed pipeline run behind solo and coalesced mines. Fault
-    /// injection happens here, under the flight's token, so an injected
-    /// sleep is cancellable exactly like real work.
-    fn run_mine(
-        &self,
-        r: &MineRequest,
-        cfg: &GraphSigConfig,
-        flight: &Flight,
-        dataset: &Dataset,
-    ) -> MineRun {
-        if let Some(ms) = r.sleep_ms {
-            if !sleep_cancellable(ms, &flight.token) {
-                return MineRun::Cancelled;
-            }
+        // A mine cancelled while queued, or during its injected sleep,
+        // answers without running.
+        let slept = r
+            .sleep_ms
+            .is_none_or(|ms| sleep_cancellable(ms, &job.token));
+        if !slept || job.token.is_cancelled() {
+            return dataset
+                .ok_response(&r.id, "mine")
+                .with_field("completion", "truncated (cancelled)")
+                .with_field("cached", "none")
+                .with_field("subgraphs", 0);
         }
         if r.inject_panic {
             panic!("injected fault (inject=panic)");
         }
-        let cfg = GraphSigConfig {
-            budget: Some(self.budget_for(&r.budget, flight)),
-            ..cfg.clone()
-        };
         let (outcome, cached) = dataset.mine(&cfg);
-        MineRun::Done(outcome, cached)
+        dataset
+            .ok_response(&r.id, "mine")
+            .with_field("completion", outcome.completion)
+            .with_field("cached", cached)
+            .with_field("subgraphs", outcome.result.subgraphs.len())
+            .with_payload(render_subgraphs(
+                &dataset.db,
+                &outcome.result,
+                r.top.unwrap_or(usize::MAX),
+            ))
     }
 
-    fn exec_freq(&self, r: &FreqRequest, flight: &Flight) -> Response {
-        let dataset = match self.registry.get(&r.dataset, flight.ticket) {
+    /// `freq`: FSG over the dataset version's one label-pair index, which
+    /// the first `freq` builds and every later one shares.
+    fn exec_freq(&self, r: &FreqRequest, job: &Job) -> Response {
+        let dataset = match self.registry.get(&r.dataset, job.ticket) {
             Ok(d) => d,
             Err(e) => return Response::error(&r.id, "freq", e),
         };
         if r.min_support == 0 {
             return Response::error(&r.id, "freq", "min_support must be >= 1");
         }
-        let budget = self.budget_for(&r.budget, flight);
         let index = dataset.index();
-        let params = FreqParams {
-            backend: r.backend,
-            max_edges: r.max_edges.unwrap_or(8),
-            max_patterns: r.max_patterns.unwrap_or(10_000),
-            threads: request_threads(r.threads),
-        };
-        let outcome = run_freq(&dataset.db, &index, r.min_support, &params, budget);
+        let outcome = Fsg::new(
+            FsgConfig::new(r.min_support)
+                .with_max_edges(r.max_edges.unwrap_or(8))
+                .with_max_patterns(r.max_patterns.unwrap_or(10_000))
+                .with_threads(request_threads(r.threads))
+                .with_budget(self.budget_for(&r.budget, job)),
+        )
+        .mine_indexed_outcome(&dataset.db, &index);
         dataset
             .ok_response(&r.id, "freq")
             .with_field("completion", outcome.completion)
@@ -754,58 +695,9 @@ impl ServerInner {
             .with_payload(render_patterns(&dataset.db, &outcome.result))
     }
 
-    /// `sweep`: validate, then run `freq` at each support in request order
-    /// over one index read. One budget spans the sweep: its deadline covers
-    /// every threshold, while each threshold clones it for its own step
-    /// allowance, so an unbudgeted sweep's segments match individual `freq`
-    /// calls byte for byte.
-    fn exec_sweep(&self, r: &SweepRequest, flight: &Flight) -> Response {
-        let error = |message: String| Response::error(&r.id, "sweep", message);
-        let dataset = match self.registry.get(&r.dataset, flight.ticket) {
-            Ok(d) => d,
-            Err(e) => return error(e),
-        };
-        if r.supports.is_empty() {
-            return error("supports must name at least one threshold".into());
-        }
-        if r.supports.contains(&0) {
-            return error("every support must be >= 1".into());
-        }
-        let budget = self.budget_for(&r.budget, flight);
-        let index = dataset.index();
-        let params = FreqParams {
-            backend: r.backend,
-            max_edges: r.max_edges.unwrap_or(8),
-            max_patterns: r.max_patterns.unwrap_or(10_000),
-            threads: request_threads(r.threads),
-        };
-        let (mut payload, mut completion, mut total) = (String::new(), Completion::Complete, 0);
-        for &support in &r.supports {
-            let outcome = run_freq(&dataset.db, &index, support, &params, budget.clone());
-            completion = completion.merge(outcome.completion);
-            total += outcome.result.len();
-            // Marker line, then the exact bytes an individual `freq` call
-            // at this threshold would have produced.
-            let _ = writeln!(
-                payload,
-                "# sweep support {support}: {} patterns ({})",
-                outcome.result.len(),
-                outcome.completion
-            );
-            payload.push_str(&render_patterns(&dataset.db, &outcome.result));
-        }
-        dataset
-            .ok_response(&r.id, "sweep")
-            .with_field("completion", completion)
-            .with_field("supports", r.supports.len())
-            .with_field("patterns", total)
-            .with_field("index_types", index.len())
-            .with_payload(payload)
-    }
-
-    fn exec_stats(&self, id: &str, dataset: Option<&str>, flight: &Flight) -> Response {
+    fn exec_stats(&self, id: &str, dataset: Option<&str>, job: &Job) -> Response {
         if let Some(name) = dataset {
-            return match self.registry.get(name, flight.ticket) {
+            return match self.registry.get(name, job.ticket) {
                 Ok(d) => d.stats_response(id),
                 Err(e) => Response::error(id, "stats", e),
             };
@@ -825,14 +717,11 @@ impl ServerInner {
             .with_field("active", snap.active)
             .with_field("queue_capacity", self.cfg.queue_capacity)
             .with_field("workers", graphsig_core::resolve_threads(self.cfg.workers))
-            .with_field("coalesce_leads", snap.coalesce_leads)
-            .with_field("coalesce_riders", snap.coalesce_riders)
             .with_field("queue_wait_us", snap.queue_wait_us)
             .with_field("exec_us", snap.exec_us)
             .with_field("op_load", load(&c.op_load))
             .with_field("op_mine", load(&c.op_mine))
             .with_field("op_freq", load(&c.op_freq))
-            .with_field("op_sweep", load(&c.op_sweep))
             .with_field("op_stats", load(&c.op_stats))
             .with_field("resident_bytes", resident)
             .with_field("evictions", load(&self.registry.evictions))
@@ -850,6 +739,24 @@ impl ServerInner {
 /// thousands of OS threads. Output is identical at any thread count.
 fn request_threads(requested: Option<usize>) -> usize {
     requested.map_or(0, |t| t.min(graphsig_core::resolve_threads(0)))
+}
+
+/// Render `freq` results: a stats comment plus a transaction block per
+/// pattern (same shape as the `mine` payload).
+fn render_patterns(db: &GraphDb, patterns: &[Pattern]) -> String {
+    let mut out = String::new();
+    for (i, p) in patterns.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "# pattern {i}: support {} graphs ({:.3}%), {} edges",
+            p.support,
+            100.0 * p.frequency(db.len()),
+            p.graph.edge_count()
+        );
+        let one = GraphDb::from_parts(vec![p.graph.clone()], db.labels().clone());
+        out.push_str(&graphsig_graph::write_transactions(&one));
+    }
+    out
 }
 
 /// Add a load batch to `db`. A fresh load takes the batch whole, keeping

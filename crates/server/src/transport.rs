@@ -40,10 +40,14 @@
 //! ```
 //!
 //! "No in-flight response pending" is tracked by `Arc` strong counts on
-//! the connection's [`SharedWriter`]: every admitted request's rider (see
-//! `crate::flight`) holds a clone until its response is written, so a
+//! the connection's [`SharedWriter`]: every admitted request's job (see
+//! `crate::scheduler`) holds a clone until its response is written, so a
 //! count of one means every accepted request has answered and the
 //! connection can close without dropping a response.
+//!
+//! Those clones also hold the connection's socket open. So when the loop
+//! drops a failed connection it shuts the socket down: the client sees
+//! EOF at once, not when its last admitted request ends.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -337,7 +341,15 @@ pub fn serve(listener: TcpListener, server: &Server, cfg: TransportConfig) -> st
             }
         }
         reap_deadlined(&mut conns, &cfg);
-        conns.retain(|c| !(c.out.failed.load(Ordering::Relaxed) || c.eof && c.drained()));
+        conns.retain(|c| {
+            if c.out.failed.load(Ordering::Relaxed) {
+                // Queued and running requests still hold a clone of this
+                // socket (see the module docs): close it for them too.
+                let _ = c.stream.shutdown(std::net::Shutdown::Both);
+                return false;
+            }
+            !(c.eof && c.drained())
+        });
         if shutdown {
             final_flush(&mut conns);
             return Ok(());

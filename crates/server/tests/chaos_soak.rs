@@ -14,7 +14,7 @@
 //!   atomic: no third state).
 //! * **Server chaos** — an in-process [`Server`] with a faulted I/O seam
 //!   and a memory ceiling serves a seeded interleaving of loads, mines,
-//!   freqs, sweeps, cancels, and stats. Every accepted request must
+//!   freqs, cancels, and stats. Every accepted request must
 //!   resolve to exactly one structured response, mine payloads must be
 //!   byte-identical to the unfaulted one-shot pipeline oracle, no request
 //!   may panic, and a load past `max_resident_bytes` must be rejected
@@ -342,7 +342,7 @@ fn run_schedule(seed: u64) -> u64 {
                 "freq id={id} dataset=gen min_support=40 max_edges=3"
             )),
             3 => h.send(&format!(
-                "sweep id={id} dataset=gen supports=60,40 max_edges=3"
+                "freq id={id} dataset=gen min_support=60 max_edges=3"
             )),
             4 => h.send(&format!("stats id={id}")),
             5 => h.send(&format!("mine id={id} dataset=nosuch")),
@@ -412,7 +412,7 @@ fn run_schedule(seed: u64) -> u64 {
     assert_eq!(resp.status, Status::Ok, "shutdown confirms");
 
     // Exactly one response per submitted request, across every path the
-    // schedule exercised (coalesced, cancelled, rejected, errored).
+    // schedule exercised (completed, cancelled, rejected, errored).
     let responses = h.responses();
     for id in &h.submitted {
         let n = responses.iter().filter(|(r, _)| &r.id == id).count();
@@ -538,7 +538,7 @@ fn run_tcp_lifecycle() {
     let (_, eof) = drain_to_eof(&mut idle, Instant::now() + Duration::from_secs(20));
     assert!(eof, "idle client reaped by the idle deadline");
 
-    // Slow client: floods itself with coalesced mine responses and stops
+    // Slow client: floods itself with mine responses and stops
     // reading; backpressure (write-buffer cap or stall detection) drops
     // the connection. Whatever byte prefix it did receive must split into
     // complete frames plus a visibly truncated tail — never a frame that

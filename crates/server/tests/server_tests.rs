@@ -139,56 +139,6 @@ fn concurrent_mixed_budget_load_is_byte_identical_to_one_shot() {
     server.join();
 }
 
-#[test]
-fn sweep_payload_segments_match_individual_freq_calls() {
-    let server = Server::new(ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=L dataset=d gen=aids count=60 seed=5", &out);
-    wait_all(&sink, &["L".to_string()]);
-    server.dispatch_line("freq id=f12 dataset=d min_support=12 max_edges=5", &out);
-    server.dispatch_line("freq id=f6 dataset=d min_support=6 max_edges=5", &out);
-    server.dispatch_line("sweep id=s dataset=d supports=12,6 max_edges=5", &out);
-    let ids: Vec<String> = ["f12", "f6", "s"].iter().map(|s| s.to_string()).collect();
-    let responses = wait_all(&sink, &ids);
-    let body = |id: &str| -> String {
-        let (h, b) = responses.iter().find(|(h, _)| h.id == id).expect(id);
-        assert_eq!(h.status, Status::Ok, "{id}");
-        String::from_utf8(b.clone()).expect("utf-8 payload")
-    };
-    // Each sweep segment (after its marker line) is byte-identical to the
-    // corresponding individual freq payload.
-    let sweep = body("s");
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "s").unwrap();
-    assert_eq!(h.field("supports"), Some("2"));
-    assert_eq!(h.field("completion"), Some("complete"));
-    let markers: Vec<usize> = sweep
-        .match_indices("# sweep support ")
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(markers.len(), 2, "expected two sweep segments:\n{sweep}");
-    let segment = |k: usize| -> &str {
-        let start = markers[k] + sweep[markers[k]..].find('\n').unwrap() + 1;
-        let end = if k + 1 < markers.len() {
-            markers[k + 1]
-        } else {
-            sweep.len()
-        };
-        &sweep[start..end]
-    };
-    assert_eq!(segment(0), body("f12"), "support=12 segment differs");
-    assert_eq!(segment(1), body("f6"), "support=6 segment differs");
-    // Empty and zero support lists are structured errors.
-    server.dispatch_line("sweep id=z dataset=d supports=0,3", &out);
-    let responses = wait_all(&sink, &["z".to_string()]);
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "z").unwrap();
-    assert_eq!(h.status, Status::Error);
-    server.join();
-}
-
 /// Poll the server snapshot until `pred` holds (or panic after 30s).
 fn wait_snapshot(
     server: &Server,
@@ -204,10 +154,13 @@ fn wait_snapshot(
 
 #[test]
 fn identical_concurrent_mines_coalesce_to_one_run() {
+    // Each of three identical concurrent mines runs, but they share one
+    // run of the window pass: the first to reach it prepares it while the
+    // others block on the version's cell, and all three answer the same
+    // bytes.
     let server = Server::new(ServerConfig {
         workers: 4,
         queue_capacity: 64,
-        allow_inject: true,
         ..ServerConfig::default()
     });
     let sink = Sink::default();
@@ -215,126 +168,42 @@ fn identical_concurrent_mines_coalesce_to_one_run() {
     server.dispatch_line("load id=L dataset=d gen=aids count=80 seed=7", &out);
     wait_all(&sink, &["L".to_string()]);
 
-    // A slow leader holds the flight open; two byte-identical requests
-    // arrive while it sleeps and must attach as riders rather than
-    // running (or even preparing) anything themselves.
-    let mine = "mine dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 sleep_ms=1500";
-    server.dispatch_line(&format!("{mine} id=lead"), &out);
-    wait_snapshot(&server, "leader to start", |s| s.active >= 1);
-    server.dispatch_line(&format!("{mine} id=ride1"), &out);
-    server.dispatch_line(&format!("{mine} id=ride2"), &out);
-    // The coalesce counter proves both attached to the in-flight run
-    // *before* it completed — not that they merely ran the same job.
-    wait_snapshot(&server, "riders to attach", |s| s.coalesce_riders == 2);
-
-    let ids: Vec<String> = ["lead", "ride1", "ride2"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    let ids: Vec<String> = ["m1", "m2", "m3"].iter().map(|s| s.to_string()).collect();
+    for id in &ids {
+        server.dispatch_line(
+            &format!("mine id={id} dataset=d min_freq=0.05 max_pvalue=0.05 radius=3"),
+            &out,
+        );
+    }
     let responses = wait_all(&sink, &ids);
-    let body = |id: &str| -> &[u8] {
-        let (h, b) = responses.iter().find(|(h, _)| h.id == id).expect(id);
+    let mined = |id: &String| {
+        let (h, b) = responses.iter().find(|(h, _)| &h.id == id).expect(id);
         assert_eq!(h.status, Status::Ok, "{id}");
         assert_eq!(h.field("completion"), Some("complete"), "{id}");
-        b
+        (h.field("cached").expect("cached field"), b)
     };
-    assert_eq!(body("lead"), body("ride1"), "rider payload differs");
-    assert_eq!(body("lead"), body("ride2"), "rider payload differs");
+    let (cached, body): (Vec<&str>, Vec<&Vec<u8>>) = ids.iter().map(mined).unzip();
+    assert_eq!(body[0], body[1], "identical mines answer different bytes");
+    assert_eq!(body[0], body[2], "identical mines answer different bytes");
+    let misses = cached.iter().filter(|&&c| c == "miss").count();
+    assert_eq!(misses, 1, "exactly one mine prepares the pass: {cached:?}");
 
-    let snap = server.snapshot();
-    assert_eq!(snap.coalesce_leads, 1, "exactly one flight led");
-    assert_eq!(snap.coalesce_riders, 2, "both followers attached");
-    // One prepare across three requests: the window pass ran once.
     server.dispatch_line("stats id=S dataset=d", &out);
     let responses = wait_all(&sink, &["S".to_string()]);
     let (h, _) = responses.iter().find(|(h, _)| h.id == "S").unwrap();
     assert_eq!(h.field("prepared_misses"), Some("1"));
-    assert_eq!(h.field("prepared_hits"), Some("0"));
-    server.join();
-}
-
-#[test]
-fn rider_cancel_detaches_without_cancelling_the_shared_run() {
-    let server = Server::new(ServerConfig {
-        workers: 4,
-        allow_inject: true,
-        ..ServerConfig::default()
-    });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=L dataset=d gen=aids count=40 seed=2", &out);
-    wait_all(&sink, &["L".to_string()]);
-
-    let mine = "mine dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 sleep_ms=60000";
-    server.dispatch_line(&format!("{mine} id=lead"), &out);
-    wait_snapshot(&server, "leader to start", |s| s.active >= 1);
-    server.dispatch_line(&format!("{mine} id=ride"), &out);
-    wait_snapshot(&server, "rider to attach", |s| s.coalesce_riders == 1);
-
-    // Cancelling the rider detaches it immediately: it answers
-    // `truncated (cancelled)` with full dataset identity while the
-    // shared run keeps going for the leader.
-    server.dispatch_line("cancel id=c1 target=ride", &out);
-    let responses = wait_all(&sink, &["c1".to_string(), "ride".to_string()]);
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "c1").unwrap();
-    assert_eq!(h.field("found"), Some("true"));
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "ride").unwrap();
-    assert_eq!(h.status, Status::Ok);
-    assert_eq!(h.field("completion"), Some("truncated (cancelled)"));
-    assert_eq!(h.field("dataset"), Some("d"));
-    assert_eq!(h.field("version"), Some("1"));
-    let snap = server.snapshot();
-    assert_eq!(snap.active, 1, "shared run must survive a rider cancel");
-
-    // Cancelling the last participant cancels the group token: the
-    // 60s sleep wakes immediately instead of running out the clock.
-    server.dispatch_line("cancel id=c2 target=lead", &out);
-    let responses = wait_all(&sink, &["c2".to_string(), "lead".to_string()]);
-    let (h, _) = responses.iter().find(|(h, _)| h.id == "lead").unwrap();
-    assert_eq!(h.field("completion"), Some("truncated (cancelled)"));
-    wait_snapshot(&server, "workers to idle", |s| s.active == 0);
-    server.join();
-}
-
-#[test]
-fn leader_panic_fails_every_rider() {
-    let server = Server::new(ServerConfig {
-        workers: 4,
-        allow_inject: true,
-        ..ServerConfig::default()
-    });
-    let sink = Sink::default();
-    let out = writer(&sink);
-    server.dispatch_line("load id=L dataset=d gen=aids count=40 seed=2", &out);
-    wait_all(&sink, &["L".to_string()]);
-
-    let mine = "mine dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 sleep_ms=1500 inject=panic";
-    server.dispatch_line(&format!("{mine} id=lead"), &out);
-    wait_snapshot(&server, "leader to start", |s| s.active >= 1);
-    server.dispatch_line(&format!("{mine} id=ride"), &out);
-    wait_snapshot(&server, "rider to attach", |s| s.coalesce_riders == 1);
-
-    let responses = wait_all(&sink, &["lead".to_string(), "ride".to_string()]);
-    for id in ["lead", "ride"] {
-        let (h, _) = responses.iter().find(|(h, _)| h.id == id).expect(id);
-        assert_eq!(h.status, Status::Error, "{id}");
-        assert!(h.field("error").unwrap().contains("panicked"), "{id}");
-    }
-    // One panic isolated — the rider's failure is the same panic, not a
-    // second one — and the server keeps serving.
-    assert_eq!(server.snapshot().panics, 1);
-    server.dispatch_line("ping id=alive", &out);
-    wait_all(&sink, &["alive".to_string()]);
+    assert_eq!(h.field("prepared_hits"), Some("2"));
     server.join();
 }
 
 #[test]
 fn sweep_segments_do_not_starve_other_requests() {
-    // A sweep runs its thresholds in order on one worker, so with two
-    // workers a freq sent while a long sweep runs takes the other worker
-    // and answers first.
+    // A long job holds one worker, not the server: with two workers a
+    // `freq` sent while an injected 60 s mine sleeps takes the other
+    // worker and answers, and a `cancel` then cuts the running mine short.
     let server = Server::new(ServerConfig {
         workers: 2,
+        allow_inject: true,
         ..ServerConfig::default()
     });
     let sink = Sink::default();
@@ -342,20 +211,27 @@ fn sweep_segments_do_not_starve_other_requests() {
     server.dispatch_line("load id=L dataset=d gen=aids count=200 seed=9", &out);
     wait_all(&sink, &["L".to_string()]);
     server.dispatch_line(
-        "sweep id=s dataset=d supports=80,60,40,30,20,10 max_edges=5",
+        "mine id=long dataset=d min_freq=0.05 max_pvalue=0.05 radius=3 sleep_ms=60000",
         &out,
     );
-    wait_snapshot(&server, "sweep to start", |s| s.active == 1);
-    server.dispatch_line("freq id=m dataset=d min_support=100 max_edges=3", &out);
-    let responses = wait_all(&sink, &["m".to_string(), "s".to_string()]);
-    let pos = |id: &str| responses.iter().position(|(h, _)| h.id == id).expect(id);
-    assert!(
-        pos("m") < pos("s"),
-        "freq response must precede the sweep's: the sweep held both workers"
-    );
-    let (h, _) = &responses[pos("s")];
+    wait_snapshot(&server, "the mine to start", |s| s.active == 1);
+    server.dispatch_line("freq id=f dataset=d min_support=100 max_edges=3", &out);
+    let (h, _) = answer(&sink, "f");
     assert_eq!(h.status, Status::Ok);
     assert_eq!(h.field("completion"), Some("complete"));
+    assert_eq!(
+        server.snapshot().active,
+        1,
+        "the mine still holds its worker"
+    );
+
+    server.dispatch_line("cancel id=c target=long", &out);
+    assert_eq!(answer(&sink, "c").0.field("found"), Some("true"));
+    let (h, _) = answer(&sink, "long");
+    assert_eq!(h.status, Status::Ok);
+    assert_eq!(h.field("completion"), Some("truncated (cancelled)"));
+    assert_eq!(h.field("subgraphs"), Some("0"));
+    wait_snapshot(&server, "workers to idle", |s| s.active == 0);
     server.join();
 }
 
@@ -388,8 +264,6 @@ fn saturated_server_sheds_stays_probeable_and_drains_by_force() {
     send("load id=L dataset=d gen=aids count=30 seed=7".into());
     assert_eq!(answer(&sink, "L").0.field("version"), Some("1"));
 
-    // Distinct sleeps: identical injected mines would coalesce, and a
-    // rider holds no worker.
     send(format!("mine id=pinA sleep_ms=60000 {mine}"));
     send(format!("mine id=pinB sleep_ms=59000 {mine}"));
     wait_snapshot(&server, "both workers pinned", |s| s.active == 2);
@@ -827,7 +701,7 @@ fn requests_see_every_load_admitted_before_them() {
             format!("load id=A{round} {d} gen=aids count=30 seed=7 append=true"),
             format!("mine id=M{round} {d} min_freq=0.1 max_pvalue=0.1 radius=2"),
             format!("freq id=F{round} {d} min_support=10 max_edges=3"),
-            format!("sweep id=S{round} {d} supports=15,10 max_edges=3"),
+            format!("freq id=S{round} {d} min_support=15 max_edges=3"),
         ] {
             server.dispatch_line(&line, &out);
         }
